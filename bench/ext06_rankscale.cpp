@@ -11,7 +11,9 @@
 //   1. Raw runtime scaling: ring exchange + allreduce + barrier at 64..8192
 //      simulated ranks — wall clock and peak RSS must stay bounded.
 //   2. Functional engine scaling: the real wordcount engine (FtJob,
-//      checkpoints on) at 256..2048 simulated ranks.
+//      checkpoints on) at 256..2048 simulated ranks, with the master's
+//      gossip volume (master.status_sends), which must grow as p log p,
+//      not p^2.
 //   3. Storage-tier saturation at scale: modeled per-writer checkpoint cost
 //      as concurrent writers grow 64..2048. The shared tier (GPFS-like,
 //      20 GB/s aggregate) saturates before 256 writers and degrades
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -116,19 +119,27 @@ int main() {
 
   // -- 2. functional engine scaling ---------------------------------------
   rep.section("functional wordcount engine (checkpoints on), 64 chunks");
-  rep.row("%8s %12s %14s %12s", "ranks", "wall (s)", "makespan (vs)", "ok");
+  rep.row("%8s %12s %14s %14s %12s", "ranks", "wall (s)", "makespan (vs)",
+          "status sends", "ok");
   double engine_wall_2048 = 0.0;
   bool engine_ok_2048 = false;
+  std::map<int, double> status_sends;
+  auto& registry = metrics::MetricsRegistry::global();
   for (int n : {256, 1024, 2048}) {
     MiniJob j = wordcount_mini(core::FtMode::kDetectResumeWC, n,
                                /*nchunks=*/64);
+    registry.reset();  // counters are process-wide: make them per run
     const Clock::time_point t0 = Clock::now();
     MiniResult r = run_mini(j);
     const double wall = seconds_since(t0);
-    rep.row("%8d %12.3f %14.4f %12s", n, wall, r.makespan,
+    double sends = 0.0;
+    for (int g = 0; g < n; ++g) sends += registry.counter("master.status_sends", g);
+    status_sends[n] = sends;
+    rep.row("%8d %12.3f %14.4f %14.0f %12s", n, wall, r.makespan, sends,
             r.ok ? "yes" : "NO");
     rep.metric("engine_wall_s_" + std::to_string(n), wall);
     rep.metric("engine_makespan_vs_" + std::to_string(n), r.makespan);
+    rep.metric("engine_status_sends_" + std::to_string(n), sends);
     if (n == 2048) {
       engine_wall_2048 = wall;
       engine_ok_2048 = r.ok;
@@ -138,6 +149,14 @@ int main() {
             engine_ok_2048);
   rep.check("2048-rank engine run under 300 s wall", engine_wall_2048 < 300.0,
             std::to_string(engine_wall_2048) + " s");
+  // Deterministic shape check on the gossip fan-out: doubling p multiplies
+  // a p log p volume by 2 (log p + 1) / log p = 2.2 from 1024 to 2048
+  // ranks; the old p (p - 1) full-table broadcast gives about 4.
+  const double sends_growth =
+      status_sends[1024] > 0.0 ? status_sends[2048] / status_sends[1024] : 0.0;
+  rep.check("master gossip grows sub-quadratically (sends 2048/1024 < 2.5)",
+            sends_growth > 0.0 && sends_growth < 2.5,
+            std::to_string(sends_growth) + "x");
 
   // -- 3. storage-tier saturation at scale --------------------------------
   // Modeled cost of one 64 MiB checkpoint write per rank as concurrent

@@ -136,6 +136,14 @@ int FtJob::owner_rel(int partition) const {
   return wc_.rel_of_global(part_owner_[static_cast<size_t>(partition)]);
 }
 
+std::map<int, mr::KvBuffer> FtJob::owned_orphans(const std::vector<int>& missing) const {
+  std::map<int, mr::KvBuffer> owned;
+  for (int p : missing) {
+    if (part_owner_[static_cast<size_t>(p)] == world_.global_rank()) owned.try_emplace(p);
+  }
+  return owned;
+}
+
 std::vector<uint64_t> FtJob::my_task_ids(int stage, bool kv_input) const {
   std::vector<uint64_t> mine;
   const int me = world_.global_rank();
@@ -321,6 +329,10 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
   ckpt_->drain(wc_);
   if (auto s = check(master_->exchange_now()); !s.ok()) return s;
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
+  // Every map-phase status message was staged before the barrier: drain
+  // them now (uncounted, so the op axis is unchanged) and the gossip is
+  // fully consumed on a failure-free job.
+  if (auto s = check(master_->drain()); !s.ok()) return s;
   charge_span("map", t0);
   return Status::Ok();
 }
@@ -384,42 +396,52 @@ mr::KvBuffer combine_block(const mr::KvBuffer& in,
 
 }  // namespace
 
+Status FtJob::route_blocks(const std::map<int, mr::KvBuffer>& blocks,
+                           const char* owner_died, std::vector<Bytes>& send) {
+  std::map<int, std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest;
+  for (const auto& [p, kv] : blocks) {
+    if (kv.empty()) continue;
+    const int rel = owner_rel(p);
+    if (rel < 0) return check({ErrorCode::kProcFailed, owner_died});
+    by_dest[rel].push_back({p, &kv});
+  }
+  send.assign(static_cast<size_t>(wc_.size()), Bytes{});
+  for (const auto& [rel, list] : by_dest) {
+    send[static_cast<size_t>(rel)] = encode_blocks(list);
+  }
+  return Status::Ok();
+}
+
 Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   const double t0 = wc_.now();
-  // Assemble per-destination blocks: one (partition, data) block per
-  // partition, addressed to the partition's current owner.
-  std::vector<mr::KvBuffer> merged(static_cast<size_t>(p0_));
+  // One outgoing block per non-empty partition, merged across this rank's
+  // map tasks in task order.
+  std::map<int, mr::KvBuffer> merged;
   for (auto& [task, tp] : st.tasks) {
     (void)task;
-    for (int p = 0; p < p0_; ++p) {
-      if (!tp.parts.empty()) merged[p].merge_from(tp.parts[static_cast<size_t>(p)]);
+    for (size_t p = 0; p < tp.parts.size(); ++p) {
+      if (!tp.parts[p].empty()) merged[static_cast<int>(p)].merge_from(tp.parts[p]);
     }
   }
-  if (fns.combine) {
-    // Local pre-aggregation before the wire: shrink each outgoing block.
-    for (int p = 0; p < p0_; ++p) {
-      const size_t before = merged[p].bytes();
-      merged[p] = combine_block(merged[p], fns);
-      if (before > merged[p].bytes()) {
+  size_t sent = 0;
+  for (auto& [p, kv] : merged) {
+    if (fns.combine) {
+      // Local pre-aggregation before the wire: shrink each outgoing block.
+      const size_t before = kv.bytes();
+      kv = combine_block(kv, fns);
+      if (before > kv.bytes()) {
         times_.charge("combine_saved_bytes",
-                      static_cast<double>(before - merged[p].bytes()));
+                      static_cast<double>(before - kv.bytes()));
       }
     }
+    sent += kv.size();
   }
-  std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-      static_cast<size_t>(wc_.size()));
-  for (int p = 0; p < p0_; ++p) {
-    const int rel = owner_rel(p);
-    if (rel < 0) {
-      return check({ErrorCode::kProcFailed, "partition owner died before shuffle"});
-    }
-    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[static_cast<size_t>(p)]});
+  std::vector<Bytes> send;
+  if (auto s = route_blocks(merged, "partition owner died before shuffle", send);
+      !s.ok()) {
+    return s;
   }
-  std::vector<Bytes> send(by_dest.size());
-  for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
-  for (int p = 0; p < p0_; ++p) {
-    mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), merged[p].size());
-  }
+  mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), sent);
   trace_.span("shuffle.census", "shuffle", t0, wc_.now());
 
   const double a0 = wc_.now();
@@ -427,6 +449,13 @@ Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
   trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
   const double d0 = wc_.now();
+  // Every owned partition gets an entry, received data or not: each one's
+  // checkpoint is written below, and CR restart priming claims
+  // shuffle-done only when every owned partition's checkpoint is present.
+  const int me = world_.global_rank();
+  for (int p = 0; p < p0_; ++p) {
+    if (part_owner_[static_cast<size_t>(p)] == me) st.my_partitions.try_emplace(p);
+  }
   size_t received = 0;
   for (const Bytes& b : recv) {
     if (auto s = decode_blocks(b, st.my_partitions, /*replace=*/false, &received);
@@ -555,9 +584,11 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
   // Budget-bounded rounds: each round assembles at most round_budget bytes
   // of outgoing pages from the per-partition cursors, combines, exchanges,
   // absorbs into paged stores, and the ranks agree (max-reduce) on whether
-  // anyone still holds unsent pages.
+  // anyone still holds unsent pages. The round is sized with the clamped
+  // page the map stores use: the raw spill_page_bytes (1 MiB by default)
+  // can exceed the whole budget, and one round would carry the dataset.
   const size_t round_budget =
-      std::max(opts_.spill_page_bytes, opts_.memory_budget / 2);
+      std::max(spill_config(stage, "map").page_bytes, opts_.memory_budget / 2);
   std::map<int, size_t> cursor;  // partition -> next unsent page
   size_t received_total = 0;
   for (;;) {
@@ -589,18 +620,14 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
         }
       }
     }
-    std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-        static_cast<size_t>(wc_.size()));
+    std::vector<Bytes> send;
+    if (auto s = route_blocks(chunks, "partition owner died mid-shuffle", send);
+        !s.ok()) {
+      return s;
+    }
     for (auto& [p, kv] : chunks) {
-      const int rel = owner_rel(p);
-      if (rel < 0) {
-        return check({ErrorCode::kProcFailed, "partition owner died mid-shuffle"});
-      }
-      by_dest[static_cast<size_t>(rel)].push_back({p, &kv});
       mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv.size());
     }
-    std::vector<Bytes> send(by_dest.size());
-    for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
     trace_.span("shuffle.census", "shuffle", c0, wc_.now());
 
     const double a0 = wc_.now();
@@ -673,12 +700,12 @@ Status FtJob::rebuild_orphans_paged(const StageFns& fns, int stage,
   // orphaned partitions back out of the paged stores. Orphans are a small
   // subset of P0, so materializing just their blocks matches the in-core
   // rebuild's residency.
-  std::vector<mr::KvBuffer> merged(static_cast<size_t>(p0_));
+  std::map<int, mr::KvBuffer> merged;
   for (int p : missing) {
     auto it = st.map_spill.find(p);
     if (it == st.map_spill.end()) continue;
     if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
-          merged[static_cast<size_t>(p)].merge_from(page);
+          merged[p].merge_from(page);
           return Status::Ok();
         });
         !s.ok()) {
@@ -686,24 +713,17 @@ Status FtJob::rebuild_orphans_paged(const StageFns& fns, int stage,
     }
   }
   if (fns.combine) {
-    for (int p : missing) merged[p] = combine_block(merged[p], fns);
+    for (auto& [p, kv] : merged) kv = combine_block(kv, fns);
   }
-  std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-      static_cast<size_t>(wc_.size()));
-  for (int p : missing) {
-    const int rel = owner_rel(p);
-    if (rel < 0) {
-      return check({ErrorCode::kProcFailed, "orphan partition owner died"});
-    }
-    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[static_cast<size_t>(p)]});
+  std::vector<Bytes> send;
+  if (auto s = route_blocks(merged, "orphan partition owner died", send); !s.ok()) {
+    return s;
   }
-  std::vector<Bytes> send(by_dest.size());
-  for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
   const double a0 = wc_.now();
   std::vector<Bytes> recv;
   if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
   trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  std::map<int, mr::KvBuffer> rebuilt;
+  std::map<int, mr::KvBuffer> rebuilt = owned_orphans(missing);
   for (const Bytes& b : recv) {
     if (auto s = decode_blocks(b, rebuilt, /*replace=*/false); !s.ok()) return s;
   }
@@ -745,31 +765,27 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
   // Survivors re-exchange only the orphaned partitions, rebuilt from their
   // retained (and patch-up re-executed) map outputs. `missing` is the
   // allgathered union, so every rank participates in the same exchange.
-  std::vector<mr::KvBuffer> merged(static_cast<size_t>(p0_));
+  std::map<int, mr::KvBuffer> merged;
   for (auto& [task, tp] : st.tasks) {
     (void)task;
     if (tp.parts.empty()) continue;
-    for (int p : missing) merged[p].merge_from(tp.parts[static_cast<size_t>(p)]);
+    for (int p : missing) {
+      const mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
+      if (!part.empty()) merged[p].merge_from(part);
+    }
   }
   if (fns.combine) {
-    for (int p : missing) merged[p] = combine_block(merged[p], fns);
+    for (auto& [p, kv] : merged) kv = combine_block(kv, fns);
   }
-  std::vector<std::vector<std::pair<int, const mr::KvBuffer*>>> by_dest(
-      static_cast<size_t>(wc_.size()));
-  for (int p : missing) {
-    const int rel = owner_rel(p);
-    if (rel < 0) {
-      return check({ErrorCode::kProcFailed, "orphan partition owner died"});
-    }
-    by_dest[static_cast<size_t>(rel)].push_back({p, &merged[static_cast<size_t>(p)]});
+  std::vector<Bytes> send;
+  if (auto s = route_blocks(merged, "orphan partition owner died", send); !s.ok()) {
+    return s;
   }
-  std::vector<Bytes> send(by_dest.size());
-  for (size_t d = 0; d < by_dest.size(); ++d) send[d] = encode_blocks(by_dest[d]);
   const double a0 = wc_.now();
   std::vector<Bytes> recv;
   if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
   trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  std::map<int, mr::KvBuffer> rebuilt;
+  std::map<int, mr::KvBuffer> rebuilt = owned_orphans(missing);
   for (const Bytes& b : recv) {
     if (auto s = decode_blocks(b, rebuilt, /*replace=*/false); !s.ok()) return s;
   }

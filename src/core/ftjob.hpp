@@ -326,6 +326,18 @@ class FtJob {
   [[nodiscard]] std::vector<uint64_t> my_task_ids(int stage, bool kv_input) const;
   [[nodiscard]] std::string chunk_name(uint64_t task) const;
   [[nodiscard]] int owner_rel(int partition) const;  // rel rank on wc_
+  /// Empty rebuild targets for the `missing` partitions this rank owns: a
+  /// rebuild replaces (and re-checkpoints) each of them even when no
+  /// survivor holds data for it.
+  [[nodiscard]] std::map<int, mr::KvBuffer> owned_orphans(
+      const std::vector<int>& missing) const;
+  /// Encode each non-empty (partition, block) into the alltoall send buffer
+  /// of the partition's current owner. Empty blocks never reach the wire,
+  /// so a destination with nothing to receive gets an empty buffer and the
+  /// exchange costs O(non-empty partitions), not O(p). Fails (through
+  /// check) with `owner_died` if an owner left the work comm.
+  Status route_blocks(const std::map<int, mr::KvBuffer>& blocks,
+                      const char* owner_died, std::vector<Bytes>& send);
   [[nodiscard]] double current_map_cost(const StageFns& f) const {
     return f.map_cost_per_record >= 0 ? f.map_cost_per_record
                                       : opts_.map_cost_per_record;

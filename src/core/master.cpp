@@ -11,8 +11,27 @@ constexpr int kStatusTag = 9001;
 
 DistributedMaster::DistributedMaster(simmpi::Comm& mcomm, int status_interval_commits)
     : mcomm_(mcomm), status_interval_(status_interval_commits) {
-  peer_obs_.resize(static_cast<size_t>(mcomm_.size()));
-  peer_obs_valid_.assign(static_cast<size_t>(mcomm_.size()), false);
+  reset_peer_tables();
+}
+
+void DistributedMaster::reset_peer_tables() {
+  peer_obs_.assign(static_cast<size_t>(mcomm_.size()), PeerObservation{});
+  obs_outbox_.clear();
+}
+
+void DistributedMaster::rebind(simmpi::Comm mcomm) {
+  mcomm_ = std::move(mcomm);
+  reset_peer_tables();
+  // Deltas the dead ranks swallowed are gone; re-disseminating the whole
+  // merged view restores the convergence bound on the new group.
+  outbox_ = global_;
+  own_obs_dirty_ = true;
+}
+
+std::vector<int> DistributedMaster::dissemination_peers(int rank, int size) {
+  std::vector<int> peers;
+  for (int d = 1; d < size; d *= 2) peers.push_back((rank + d) % size);
+  return peers;
 }
 
 std::vector<uint64_t> DistributedMaster::assign_tasks(size_t ntasks, int nranks,
@@ -33,6 +52,7 @@ void DistributedMaster::on_task_start(uint64_t task_id, uint64_t total_bytes) {
   ts.total_bytes = total_bytes;
   local_.upsert(ts);
   global_.upsert(ts);
+  outbox_.upsert(ts);
 }
 
 void DistributedMaster::on_task_progress(uint64_t task_id, uint64_t records_done,
@@ -45,6 +65,7 @@ void DistributedMaster::on_task_progress(uint64_t task_id, uint64_t records_done
   ts.bytes_done = bytes_done;
   local_.upsert(ts);
   global_.upsert(ts);
+  outbox_.upsert(ts);
 }
 
 void DistributedMaster::on_task_done(uint64_t task_id, uint64_t records_done,
@@ -57,6 +78,7 @@ void DistributedMaster::on_task_done(uint64_t task_id, uint64_t records_done,
   ts.bytes_done = bytes_done;
   local_.upsert(ts);
   global_.upsert(ts);
+  outbox_.upsert(ts);
 }
 
 Status DistributedMaster::tick() {
@@ -66,23 +88,37 @@ Status DistributedMaster::tick() {
 
 Status DistributedMaster::exchange_now() {
   commits_since_exchange_ = 0;
-  if (auto s = broadcast_status(); !s.ok()) return s;
-  return drain_inbox();
+  // Drain first: what arrived since the last exchange is forwarded by this
+  // very send, so each hop of the dissemination costs one exchange.
+  if (auto s = drain(); !s.ok()) return s;
+  return broadcast_status();
 }
 
 Status DistributedMaster::broadcast_status() {
   const double t0 = mcomm_.now();
   ByteWriter w;
-  w.put<int32_t>(mcomm_.rank());
-  w.put<double>(units_done_);
-  w.put<double>(elapsed_);
-  w.put_blob(local_.encode());
+  w.put_blob(outbox_.encode());
+  std::vector<std::pair<int, PeerObservation>> obs;
+  obs.reserve(obs_outbox_.size() + 1);
+  if (own_obs_dirty_) obs.push_back({mcomm_.rank(), {units_done_, elapsed_, true}});
+  for (int r : obs_outbox_) obs.push_back({r, peer_obs_[static_cast<size_t>(r)]});
+  w.put<uint32_t>(static_cast<uint32_t>(obs.size()));
+  for (const auto& [r, o] : obs) {
+    w.put<int32_t>(r);
+    w.put<double>(o.units);
+    w.put<double>(o.elapsed);
+  }
+  outbox_.clear();
+  obs_outbox_.clear();
+  own_obs_dirty_ = false;
   Status first_error;
   int sent = 0;
-  for (int r = 0; r < mcomm_.size(); ++r) {
-    if (r == mcomm_.rank()) continue;
-    // A send to a dead master is exactly how the gossip detects failures;
-    // remember the first error but keep informing the live peers.
+  for (int r : dissemination_peers(mcomm_.rank(), mcomm_.size())) {
+    // A send to a dead master fails with PROC_FAILED; remember the first
+    // error but keep informing the live peers. Gossip is not the failure
+    // detector of record — commit()'s failed_ranks() check and the failing
+    // collectives are — so a dead rank off this schedule goes unnoticed
+    // here without harm.
     if (auto s = mcomm_.send(r, kStatusTag, w.bytes()); !s.ok() && first_error.ok()) {
       first_error = s;
     } else if (s.ok()) {
@@ -96,7 +132,7 @@ Status DistributedMaster::broadcast_status() {
   return first_error;
 }
 
-Status DistributedMaster::drain_inbox() {
+Status DistributedMaster::drain() {
   const double t0 = mcomm_.now();
   // How many status messages are in the inbox at poll time is a real-time
   // race (peers send asynchronously); keep the racy iprobe/recv count off
@@ -109,21 +145,33 @@ Status DistributedMaster::drain_inbox() {
     Bytes msg;
     if (auto s = mcomm_.recv(info.source, kStatusTag, msg); !s.ok()) return s;
     ByteReader r(msg);
-    int32_t sender = 0;
-    double units = 0.0, elapsed = 0.0;
     Bytes table_bytes;
-    if (auto s = r.get(sender); !s.ok()) return s;
-    if (auto s = r.get(units); !s.ok()) return s;
-    if (auto s = r.get(elapsed); !s.ok()) return s;
     if (auto s = r.get_blob(table_bytes); !s.ok()) return s;
     TaskTable t;
     if (auto s = TaskTable::decode(table_bytes, t); !s.ok()) return s;
-    global_.merge(t);
-    drained++;
-    if (sender >= 0 && sender < static_cast<int32_t>(peer_obs_.size())) {
-      peer_obs_[sender] = {units, elapsed};
-      peer_obs_valid_[sender] = true;
+    for (const auto& [id, ts] : t.all()) {
+      // Forward only news: an entry that did not advance global_ has
+      // already been (or is being) forwarded by this rank.
+      if (global_.merge_entry(ts)) outbox_.upsert(*global_.find(id));
     }
+    uint32_t nobs = 0;
+    if (auto s = r.get(nobs); !s.ok()) return s;
+    for (uint32_t i = 0; i < nobs; ++i) {
+      int32_t rel = -1;
+      PeerObservation o{0.0, 0.0, true};
+      if (auto s = r.get(rel); !s.ok()) return s;
+      if (auto s = r.get(o.units); !s.ok()) return s;
+      if (auto s = r.get(o.elapsed); !s.ok()) return s;
+      if (rel < 0 || rel >= static_cast<int32_t>(peer_obs_.size()) ||
+          rel == mcomm_.rank()) {
+        continue;
+      }
+      PeerObservation& cur = peer_obs_[static_cast<size_t>(rel)];
+      if (cur.valid && o.elapsed <= cur.elapsed) continue;
+      cur = o;
+      obs_outbox_.insert(rel);
+    }
+    drained++;
   }
   if (trace_) trace_->span("master.drain", "master", t0, mcomm_.now());
   if (drained > 0) {
@@ -136,10 +184,12 @@ Status DistributedMaster::drain_inbox() {
 
 std::optional<std::pair<double, double>> DistributedMaster::peer_observation(
     int r) const {
-  if (r < 0 || r >= static_cast<int>(peer_obs_.size()) || !peer_obs_valid_[r]) {
+  if (r < 0 || r >= static_cast<int>(peer_obs_.size()) ||
+      !peer_obs_[static_cast<size_t>(r)].valid) {
     return std::nullopt;
   }
-  return peer_obs_[r];
+  const PeerObservation& o = peer_obs_[static_cast<size_t>(r)];
+  return std::make_pair(o.units, o.elapsed);
 }
 
 }  // namespace ftmr::core

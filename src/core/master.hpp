@@ -4,10 +4,17 @@
 // a wasted rank and a single point of failure — Sec. 2.2). The master
 //   * creates one task per input chunk and assigns tasks by hashing the
 //     task id, identically on every rank with no coordination;
-//   * tracks local task progress and periodically broadcasts it to the
-//     other masters, keeping a merged global status table;
+//   * tracks local task progress and periodically gossips it to the other
+//     masters, keeping a merged global status table;
 //   * piggybacks the load-balancer's profiling observation on the status
 //     message so every rank can fit every other rank's linear model.
+//
+// The periodic broadcast is a dissemination schedule of deltas: an exchange
+// sends to the ceil(log2 p) peers at relative distance 2^k (mod p) only what
+// changed — the rank's own updated entries plus whatever it learned since
+// its last send — and receivers forward what was news to them. Every rank's
+// entries reach every other rank within ceil(log2 p) exchanges (DESIGN.md,
+// "Distributed master").
 //
 // Substitution note (DESIGN.md): the paper runs the master as a dedicated
 // thread. Here its logic is driven at the task runner's commit() points and
@@ -17,6 +24,8 @@
 #pragma once
 
 #include <optional>
+#include <set>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/regression.hpp"
@@ -24,15 +33,6 @@
 #include "simmpi/comm.hpp"
 
 namespace ftmr::core {
-
-/// Gossiped status message: the sender's local task table plus its current
-/// load-balancer observation.
-struct StatusMessage {
-  int sender = -1;
-  TaskTable table;
-  double units_done = 0.0;   // bytes of input processed so far
-  double elapsed = 0.0;      // virtual seconds spent processing
-};
 
 /// Thread model: one DistributedMaster per rank, confined to that rank's
 /// thread. Cross-rank coordination happens exclusively through the
@@ -58,13 +58,23 @@ class DistributedMaster {
   void on_task_done(uint64_t task_id, uint64_t records_done, uint64_t bytes_done);
 
   /// Called at every commit(): counts commits, and every `status_interval`
-  /// commits broadcasts local status and drains incoming gossip.
+  /// commits runs an exchange.
   /// Returns a non-OK status when the gossip I/O observes a failure — the
   /// caller's failure handler takes it from there.
   Status tick();
 
-  /// Force a status exchange immediately (phase boundaries).
+  /// Force a status exchange immediately (phase boundaries): drain the
+  /// inbox, then send the delta to this rank's dissemination peers.
   Status exchange_now();
+
+  /// Drain the inbox without sending. Run after a barrier, it receives every
+  /// status message sent before that barrier (sends are staged
+  /// synchronously), which makes master.status_drained an exact count.
+  Status drain();
+
+  /// Rel ranks this rank sends to on a comm of `size`: rank + 2^k (mod size)
+  /// for 2^k < size — ceil(log2 size) distinct peers, none of them `rank`.
+  static std::vector<int> dissemination_peers(int rank, int size);
 
   /// Merged global view (own table + everything gossiped in).
   [[nodiscard]] const TaskTable& global_table() const noexcept { return global_; }
@@ -74,6 +84,7 @@ class DistributedMaster {
   void observe(double units_done, double elapsed) {
     units_done_ = units_done;
     elapsed_ = elapsed;
+    own_obs_dirty_ = true;
     fit_.add(units_done, elapsed);
   }
   [[nodiscard]] LinearModel local_model() const { return fit_.fit(); }
@@ -81,27 +92,45 @@ class DistributedMaster {
   [[nodiscard]] std::optional<std::pair<double, double>> peer_observation(int r) const;
 
   [[nodiscard]] simmpi::Comm& comm() noexcept { return mcomm_; }
-  /// Re-bind the master to a shrunken communicator after recovery.
-  void rebind(simmpi::Comm mcomm) { mcomm_ = std::move(mcomm); }
+  /// Re-bind the master to a shrunken communicator after recovery. Rel
+  /// ranks change with the group, so the peer observations restart empty
+  /// (sized to the new comm), and the whole global table plus the own
+  /// observation are queued for re-dissemination over the new schedule.
+  void rebind(simmpi::Comm mcomm);
 
   /// Record gossip broadcast/drain spans into `t` (not owned; may be null).
   /// Set once during job construction, before any gossip traffic.
   void set_trace(metrics::TraceRecorder* t) noexcept { trace_ = t; }
 
  private:
+  struct PeerObservation {
+    double units = 0.0;
+    double elapsed = 0.0;
+    bool valid = false;
+  };
+
+  /// Send the delta to the dissemination peers. Wire format:
+  ///   blob  TaskTable::encode() of the entries in outbox_
+  ///   u32   n, then n x {i32 rel rank, f64 units_done, f64 elapsed}: the
+  ///         own observation if it changed, and peers' newer observations.
   Status broadcast_status();
-  Status drain_inbox();
+  /// Size the peer tables to the current comm, all entries invalid.
+  void reset_peer_tables();
 
   simmpi::Comm mcomm_;
   int status_interval_;
   int64_t commits_since_exchange_ = 0;
   TaskTable local_;
   TaskTable global_;
+  /// Delta for the next send: own entries updated and entries drained that
+  /// advanced global_, since the last send.
+  TaskTable outbox_;
   OnlineLinearFit fit_;
   double units_done_ = 0.0;
   double elapsed_ = 0.0;
-  std::vector<std::pair<double, double>> peer_obs_;  // rel rank -> (units, t)
-  std::vector<bool> peer_obs_valid_;
+  bool own_obs_dirty_ = false;            // own observation not yet sent
+  std::vector<PeerObservation> peer_obs_;  // rel rank -> latest (units, t)
+  std::set<int> obs_outbox_;              // rel ranks whose newer obs to forward
   metrics::TraceRecorder* trace_ = nullptr;
 };
 

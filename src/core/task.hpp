@@ -73,20 +73,31 @@ class TaskTable {
   /// Merge another table, preferring entries with more progress (monotone
   /// state/record counters make merges order-independent).
   void merge(const TaskTable& other) {
-    for (const auto& [id, t] : other.tasks_) {
-      auto it = tasks_.find(id);
-      if (it == tasks_.end()) {
-        tasks_[id] = t;
-        continue;
-      }
-      const uint64_t total = std::max(it->second.total_bytes, t.total_bytes);
-      if (t.state > it->second.state ||
-          (t.state == it->second.state && t.records_done > it->second.records_done)) {
-        it->second = t;
-      }
-      it->second.total_bytes = total;
-    }
+    for (const auto& [id, t] : other.tasks_) (void)merge_entry(t);
   }
+
+  /// Merge one entry by the same rule; true when the stored entry advanced
+  /// (new task, more progress, or a larger input size), i.e. when the entry
+  /// is news worth passing on.
+  bool merge_entry(const TaskStatus& t) {
+    auto it = tasks_.find(t.task_id);
+    if (it == tasks_.end()) {
+      tasks_[t.task_id] = t;
+      return true;
+    }
+    TaskStatus& cur = it->second;
+    const uint64_t total = std::max(cur.total_bytes, t.total_bytes);
+    bool advanced = total != cur.total_bytes;
+    if (t.state > cur.state ||
+        (t.state == cur.state && t.records_done > cur.records_done)) {
+      cur = t;
+      advanced = true;
+    }
+    cur.total_bytes = total;
+    return advanced;
+  }
+
+  void clear() noexcept { tasks_.clear(); }
 
   [[nodiscard]] Bytes encode() const {
     ByteWriter w;

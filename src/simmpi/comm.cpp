@@ -415,6 +415,7 @@ Status Comm::run_collective(
 
   slot->contribs[rel_rank_] = std::move(contribution);
   slot->arrive_vtime[rel_rank_] = state_->accounts_time ? me.vtime : 0.0;
+  slot->unpicked++;
   // No wake here: intermediate arrivals don't change a parked waiter's
   // predicate (it waits for `computed`; deaths/revokes broadcast via
   // wake_all). The last arriver runs the completion check inline below —
@@ -468,14 +469,8 @@ Status Comm::run_collective(
       me.vtime = std::max(me.vtime, it->second);
     }
   }
-  slot->pickups++;
-  int alive_contributors = 0;
-  for (const auto& [rel, c] : slot->contribs) {
-    (void)c;
-    if (job_->ranks[state_->group[rel]].alive) alive_contributors++;
-  }
   const bool failed = slot->failed;
-  if (slot->pickups >= alive_contributors) job_->slots.erase(key);
+  job_->pick_up_locked(key, *slot, rel_rank_);
   lock.unlock();
   job_->check_vtime_kill(global_rank_);
   if (failed) return handle({ErrorCode::kProcFailed, "collective: participant died"});
@@ -701,55 +696,79 @@ Status Comm::alltoall(const std::vector<Bytes>& send, std::vector<Bytes>& recv) 
   if (static_cast<int>(send.size()) != p) {
     return handle({ErrorCode::kInvalidArgument, "alltoall: send.size() != comm size"});
   }
+  // Sparse wire format on both legs: only non-empty blobs travel, each
+  // tagged with its peer's rel rank. An empty blob moves no bytes, so it
+  // costs nothing in the time model either; dropping it from the wire keeps
+  // the completion compute proportional to the data moved instead of p^2.
+  uint32_t nonempty = 0;
+  for (const Bytes& b : send) nonempty += b.empty() ? 0 : 1;
   ByteWriter w;
-  w.put<uint32_t>(static_cast<uint32_t>(p));
-  for (const Bytes& b : send) w.put_blob(b);
+  w.put<uint32_t>(nonempty);
+  for (int dst = 0; dst < p; ++dst) {
+    if (send[static_cast<size_t>(dst)].empty()) continue;
+    w.put<int32_t>(dst);
+    w.put_blob(send[static_cast<size_t>(dst)]);
+  }
   const NetworkModel net = job_->opts.net;
   auto compute = [net, p](CollectiveSlot& slot, const CommState& cs, Job&) {
-    // Decode every contributor's p outgoing blobs.
-    std::map<int, std::vector<Bytes>> outgoing;
-    for (const auto& [r, c] : slot.contribs) {
+    // Route every contributor's non-empty blobs to their destinations, in
+    // source order. The spans alias slot.contribs, untouched until pickup.
+    struct Piece {
+      int32_t src;
+      std::span<const std::byte> data;
+    };
+    std::vector<std::vector<Piece>> incoming(static_cast<size_t>(p));
+    std::vector<size_t> send_bytes(static_cast<size_t>(p), 0);
+    for (const auto& [src, c] : slot.contribs) {
       ByteReader reader(c);
       uint32_t n = 0;
       (void)reader.get(n);
-      auto& v = outgoing[r];
-      v.resize(n);
-      for (auto& b : v) (void)reader.get_blob(b);
+      size_t& sent = send_bytes[static_cast<size_t>(src)];
+      for (uint32_t i = 0; i < n; ++i) {
+        int32_t dst = -1;
+        uint32_t len = 0;
+        std::span<const std::byte> blob;
+        if (!reader.get(dst).ok() || !reader.get(len).ok() ||
+            !reader.get_view(len, blob).ok()) {
+          break;
+        }
+        if (dst < 0 || dst >= p) continue;
+        incoming[static_cast<size_t>(dst)].push_back({src, blob});
+        sent += blob.size();
+      }
     }
     double t0 = 0.0;
     for (const auto& [r, v] : slot.arrive_vtime) t0 = std::max(t0, v);
     for (const auto& [dst, c] : slot.contribs) {
       (void)c;
+      const std::vector<Piece>& in = incoming[static_cast<size_t>(dst)];
       ByteWriter rw;
-      rw.put<uint32_t>(static_cast<uint32_t>(p));
+      rw.put<uint32_t>(static_cast<uint32_t>(in.size()));
       size_t recv_bytes = 0;
-      for (int src = 0; src < p; ++src) {
-        auto it = outgoing.find(src);
-        if (it != outgoing.end() && dst < static_cast<int>(it->second.size())) {
-          rw.put_blob(it->second[dst]);
-          recv_bytes += it->second[dst].size();
-        } else {
-          rw.put_blob({});
-        }
+      for (const Piece& piece : in) {
+        rw.put<int32_t>(piece.src);
+        rw.put_blob(piece.data);
+        recv_bytes += piece.data.size();
       }
-      size_t send_bytes = 0;
-      for (const Bytes& b : outgoing[dst]) send_bytes += b.size();
       slot.results[dst] = std::move(rw).take();
       slot.done_vtime[dst] =
           t0 + static_cast<double>(cs.size()) * net.latency_s +
-          static_cast<double>(send_bytes + recv_bytes) / net.bandwidth_Bps;
+          static_cast<double>(send_bytes[static_cast<size_t>(dst)] + recv_bytes) /
+              net.bandwidth_Bps;
     }
   };
   Bytes result;
   Status s = run_collective(std::move(w).take(), compute, false, &result);
   if (!s.ok()) return s;
-  recv.clear();
-  if (!result.empty()) {
-    ByteReader reader(result);
-    uint32_t n = 0;
-    (void)reader.get(n);
-    recv.resize(n);
-    for (auto& b : recv) (void)reader.get_blob(b);
+  recv.assign(static_cast<size_t>(p), Bytes{});
+  ByteReader reader(result);
+  uint32_t n = 0;
+  (void)reader.get(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    int32_t src = -1;
+    Bytes blob;
+    if (!reader.get(src).ok() || !reader.get_blob(blob).ok()) break;
+    if (src >= 0 && src < p) recv[static_cast<size_t>(src)] = std::move(blob);
   }
   return Status::Ok();
 }
@@ -759,10 +778,8 @@ Status Comm::dup(Comm& out, bool accounts_time) {
   auto compute = [alpha, accounts_time](CollectiveSlot& slot, const CommState& cs,
                                         Job& job) {
     job.mu.assert_held();  // compute callbacks run inside run_collective's CS
-    auto ns = std::make_shared<CommState>();
-    ns->ctx = job.alloc_ctx_locked();
-    ns->group = cs.group;
-    ns->accounts_time = accounts_time;
+    auto ns = std::make_shared<CommState>(job.alloc_ctx_locked(), cs.group,
+                                          accounts_time);
     job.comms[ns->ctx] = ns;
     ByteWriter w;
     w.put<uint64_t>(ns->ctx);
@@ -814,12 +831,12 @@ Status Comm::split(int color, int key, Comm& out) {
     for (const Entry& e : entries) {
       if (e.color < 0) continue;  // MPI_UNDEFINED
       if (!ctx_of_color.count(e.color)) {
-        auto ns = std::make_shared<CommState>();
-        ns->ctx = job.alloc_ctx_locked();
-        ns->accounts_time = cs.accounts_time;
+        std::vector<int> group;
         for (const Entry& e2 : entries) {
-          if (e2.color == e.color) ns->group.push_back(cs.group[e2.rel]);
+          if (e2.color == e.color) group.push_back(cs.group[e2.rel]);
         }
+        auto ns = std::make_shared<CommState>(job.alloc_ctx_locked(),
+                                              std::move(group), cs.accounts_time);
         job.comms[ns->ctx] = ns;
         ctx_of_color[e.color] = ns->ctx;
       }
@@ -894,6 +911,7 @@ Status Comm::run_tolerant(
 
   slot->contribs[rel_rank_] = std::move(contribution);
   slot->arrive_vtime[rel_rank_] = state_->accounts_time ? me.vtime : 0.0;
+  slot->unpicked++;
   // No arrival wake — same thundering-herd reasoning as run_collective.
 
   auto all_alive_arrived = [&]() {
@@ -933,13 +951,7 @@ Status Comm::run_tolerant(
       me.vtime = std::max(me.vtime, it->second);
     }
   }
-  slot->pickups++;
-  int alive_contributors = 0;
-  for (const auto& [rel, c] : slot->contribs) {
-    (void)c;
-    if (job_->ranks[state_->group[rel]].alive) alive_contributors++;
-  }
-  if (slot->pickups >= alive_contributors) job_->slots.erase(key);
+  job_->pick_up_locked(key, *slot, rel_rank_);
   lock.unlock();
   job_->check_vtime_kill(global_rank_);
   if (result_out) *result_out = std::move(result);
@@ -952,15 +964,13 @@ Status Comm::shrink(Comm& out) {
     job.mu.assert_held();  // compute callbacks run inside run_tolerant's CS
     // Build the shrunken communicator from alive contributors, ordered by
     // old rel rank (dense new ranks) — ULFM MPI_Comm_shrink semantics.
-    auto ns = std::make_shared<CommState>();
-    ns->ctx = job.alloc_ctx_locked();
-    ns->accounts_time = cs.accounts_time;
+    std::vector<int> group;
     for (int rel = 0; rel < cs.size(); ++rel) {
       const int g = cs.group[rel];
-      if (job.ranks[g].alive && slot.contribs.count(rel)) {
-        ns->group.push_back(g);
-      }
+      if (job.ranks[g].alive && slot.contribs.count(rel)) group.push_back(g);
     }
+    auto ns = std::make_shared<CommState>(job.alloc_ctx_locked(), std::move(group),
+                                          cs.accounts_time);
     job.comms[ns->ctx] = ns;
     ByteWriter w;
     w.put<uint64_t>(ns->ctx);

@@ -27,9 +27,31 @@ void Job::die_locked(int rank) {
   // memory) are atomic with the death itself, so no peer can observe a
   // dead rank with live replicas. The hook must not re-enter simmpi.
   if (opts.on_rank_death) opts.on_rank_death(rank);
+  // A contributor that dies before picking up never will: settle its share
+  // of every pending slot so the last live pickup still erases it. Only the
+  // few in-flight slots are visited, and deaths are rare.
+  for (auto it = slots.begin(); it != slots.end();) {
+    CollectiveSlot& slot = *it->second;
+    const auto cit = comms.find(it->first.first);
+    const int rel = cit == comms.end() ? -1 : cit->second->rel_rank_of(rank);
+    if (rel >= 0 && slot.contribs.count(rel) != 0 && --slot.unpicked == 0 &&
+        slot.computed) {
+      it = slots.erase(it);
+    } else {
+      ++it;
+    }
+  }
   // Death can unblock any predicate (recv from the dead rank, collective
   // membership, tolerant-collective failure observation): broadcast.
   wake_all();
+}
+
+void Job::pick_up_locked(const std::pair<uint64_t, uint64_t>& key,
+                         CollectiveSlot& slot, int rel) {
+  slot.contribs.erase(rel);
+  slot.results.erase(rel);
+  slot.done_vtime.erase(rel);
+  if (--slot.unpicked == 0) slots.erase(key);
 }
 
 void Job::check_callable(int rank) {

@@ -17,6 +17,7 @@
 // Inbox::mu and the scheduler mutex are never held together.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -46,25 +47,41 @@ struct Message {
 /// every op except shrink/agree observes it.
 ///
 /// Thread model: `ctx`, `group` and `accounts_time` are immutable once the
-/// CommState is published into Job::comms (they are filled inside the
-/// critical section that creates the comm and never change after), so they
-/// may be read without a lock. `revoked` is mutable shared state guarded by
-/// the owning Job's `mu` — the analysis cannot express a guard living in a
-/// different object, so that rule is enforced by review + TSan.
+/// CommState is published into Job::comms (they are set by the constructor,
+/// inside the critical section that creates the comm), so they may be read
+/// without a lock. `revoked` is mutable shared state guarded by the owning
+/// Job's `mu` — the analysis cannot express a guard living in a different
+/// object, so that rule is enforced by review + TSan.
 struct CommState {
-  uint64_t ctx = 0;
-  std::vector<int> group;
+  /// Builds the inverse index global rank -> rel rank alongside the group,
+  /// so rel_rank_of is O(1) (it sits under per-partition owner lookups that
+  /// every rank makes for every partition).
+  CommState(uint64_t ctx_, std::vector<int> group_, bool accounts_time_)
+      : ctx(ctx_), group(std::move(group_)), accounts_time(accounts_time_) {
+    int max_global = -1;
+    for (int g : group) max_global = std::max(max_global, g);
+    rel_index_.assign(static_cast<size_t>(max_global + 1), -1);
+    for (size_t i = 0; i < group.size(); ++i) {
+      rel_index_[static_cast<size_t>(group[i])] = static_cast<int>(i);
+    }
+  }
+
+  const uint64_t ctx;
+  const std::vector<int> group;
   bool revoked = false;
   /// Master/copier-thread comms don't advance the rank's virtual clock.
-  bool accounts_time = true;
+  const bool accounts_time;
 
   [[nodiscard]] int size() const noexcept { return static_cast<int>(group.size()); }
+  /// Comm-relative rank of `global_rank`, or -1 if it is not a member.
   [[nodiscard]] int rel_rank_of(int global_rank) const noexcept {
-    for (size_t i = 0; i < group.size(); ++i) {
-      if (group[i] == global_rank) return static_cast<int>(i);
-    }
-    return -1;
+    return global_rank >= 0 && global_rank < static_cast<int>(rel_index_.size())
+               ? rel_index_[static_cast<size_t>(global_rank)]
+               : -1;
   }
+
+ private:
+  std::vector<int> rel_index_;  // global rank -> rel rank (-1: not a member)
 };
 
 /// Rendezvous state for one arrival-synchronized collective call.
@@ -78,7 +95,13 @@ struct CollectiveSlot {
   std::map<int, double> done_vtime;    // rel rank -> clock after the op
   bool computed = false;
   bool failed = false;  // a participant died (fails intolerant collectives)
-  int pickups = 0;      // alive ranks that have taken their result
+  /// Contributors that are alive and have not yet picked up their result.
+  /// A pickup removes the rank's `contribs` entry and decrements this;
+  /// Job::die_locked decrements it for a dead contributor still present in
+  /// `contribs`. The slot is erased when it reaches 0 after `computed` —
+  /// exactly when its last live contributor picks up (or dies) — with no
+  /// per-pickup recount of the group.
+  int unpicked = 0;
   /// First group index not yet arrived-or-dead. Arrivals and deaths are
   /// both monotone, so the completion predicate advances this cursor
   /// instead of rescanning the whole group — amortized O(p log p) per
@@ -87,8 +110,8 @@ struct CollectiveSlot {
   /// Fibers waiting on this slot (arrivals / compute) park here, so an
   /// arrival wakes only this collective's participants, not the whole job.
   /// Safe against slot erasure: waiters hold their own shared_ptr to the
-  /// slot, and a slot is only erased by its last alive participant — at
-  /// which point every participant has picked up (none can be parked here).
+  /// slot, and a slot is only erased once `unpicked` hits 0 — at which point
+  /// every live participant has picked up (none can be parked here).
   WaitChannel ch;
 };
 
@@ -168,7 +191,8 @@ class Job {
 
   // ---- helpers; "locked" variants require mu held ----
 
-  /// Mark `rank` dead and wake everyone. Idempotent.
+  /// Mark `rank` dead and wake everyone. Idempotent. Settles the rank's
+  /// unpicked collective results (see CollectiveSlot::unpicked).
   void die_locked(int rank) FTMR_REQUIRES(mu);
 
   /// Entry check for every MPI call issued on behalf of `rank` by any of
@@ -187,6 +211,12 @@ class Job {
   [[nodiscard]] std::vector<int> dead_in_locked(const CommState& cs) const
       FTMR_REQUIRES(mu);
   [[nodiscard]] bool any_dead_in_locked(const CommState& cs) const FTMR_REQUIRES(mu);
+
+  /// Rank `rel` of the comm keyed by `key` takes its result from `slot`
+  /// (mu held): drops its contribution, and erases the slot when it was the
+  /// last live contributor to do so. O(log p): the group is not recounted.
+  void pick_up_locked(const std::pair<uint64_t, uint64_t>& key,
+                      CollectiveSlot& slot, int rel) FTMR_REQUIRES(mu);
 
   /// Dead members not yet acked by `rank` on this comm (mu held).
   [[nodiscard]] std::vector<int> unacked_dead_locked(int rank, const CommState& cs)

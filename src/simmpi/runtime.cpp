@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <memory>
+#include <vector>
 
 #include "common/log.hpp"
 #include "simmpi/scheduler.hpp"
@@ -12,10 +13,9 @@ JobResult Runtime::run(int nranks, const RankMain& main, JobOptions opts) {
   auto job = std::make_unique<Job>(nranks, std::move(opts));
 
   // World communicator: ctx 0, identity group.
-  auto world_state = std::make_shared<CommState>();
-  world_state->ctx = 0;
-  world_state->group.resize(nranks);
-  for (int i = 0; i < nranks; ++i) world_state->group[i] = i;
+  std::vector<int> identity(static_cast<size_t>(nranks));
+  for (int i = 0; i < nranks; ++i) identity[static_cast<size_t>(i)] = i;
+  auto world_state = std::make_shared<CommState>(0, std::move(identity), true);
   {
     MutexLock lock(job->mu);
     job->comms[0] = world_state;

@@ -160,6 +160,107 @@ TEST(Master, GossipSendDetectsDeadPeer) {
   }, jo);
 }
 
+int ceil_log2(int p) {
+  int k = 0;
+  while ((1 << k) < p) ++k;
+  return k;
+}
+
+class Dissemination : public ::testing::TestWithParam<int> {};
+
+TEST_P(Dissemination, ConvergesWithinCeilLog2Exchanges) {
+  // Each rank finishes one task and observes once; ceil(log2 p) barrier-
+  // separated exchanges plus a final drain must deliver every task's final
+  // state and every peer's latest observation to every rank.
+  const int p = GetParam();
+  Runtime::run(p, [p](Comm& c) {
+    Comm mc;
+    ASSERT_TRUE(c.dup(mc, false).ok());
+    DistributedMaster m(mc, /*status_interval=*/1);
+    const auto me = static_cast<uint64_t>(c.rank());
+    m.on_task_start(me, 100);
+    m.on_task_progress(me, 5, 50);
+    m.on_task_done(me, 10, 100);
+    m.observe(1.0 * c.rank(), 0.5);  // superseded below: only the newest counts
+    m.observe(100.0 * (c.rank() + 1), 1.0 * (c.rank() + 1));
+    for (int round = 0; round < ceil_log2(p); ++round) {
+      ASSERT_TRUE(m.exchange_now().ok());
+      ASSERT_TRUE(c.barrier().ok());
+    }
+    ASSERT_TRUE(m.drain().ok());
+    EXPECT_EQ(m.global_table().size(), static_cast<size_t>(p));
+    EXPECT_EQ(m.global_table().done_count(), static_cast<size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      const TaskStatus* ts = m.global_table().find(static_cast<uint64_t>(r));
+      ASSERT_NE(ts, nullptr) << "rank " << c.rank() << " never heard of " << r;
+      EXPECT_EQ(ts->state, TaskState::kDone);
+      EXPECT_EQ(ts->records_done, 10u);
+      EXPECT_EQ(ts->total_bytes, 100u);
+      EXPECT_EQ(ts->owner, r);
+      if (r == c.rank()) continue;
+      auto obs = m.peer_observation(r);
+      ASSERT_TRUE(obs.has_value()) << "rank " << c.rank() << " lacks obs of " << r;
+      EXPECT_DOUBLE_EQ(obs->first, 100.0 * (r + 1));
+      EXPECT_DOUBLE_EQ(obs->second, 1.0 * (r + 1));
+    }
+  });
+}
+
+TEST_P(Dissemination, ExchangeSendsOneMessagePerPowerOfTwoDistance) {
+  const int p = GetParam();
+  std::set<int> distances;
+  for (int k = 0; k < ceil_log2(p); ++k) distances.insert((1 << k) % p);
+  distances.erase(0);
+  const double expected = static_cast<double>(distances.size());
+  for (int r = 0; r < p; ++r) {
+    const std::vector<int> peers = DistributedMaster::dissemination_peers(r, p);
+    const std::set<int> unique(peers.begin(), peers.end());
+    EXPECT_EQ(unique.size(), peers.size());
+    EXPECT_EQ(static_cast<double>(peers.size()), expected);
+    EXPECT_EQ(unique.count(r), 0u);
+  }
+  auto& reg = metrics::MetricsRegistry::global();
+  reg.reset();
+  Runtime::run(p, [&](Comm& c) {
+    Comm mc;
+    ASSERT_TRUE(c.dup(mc, false).ok());
+    DistributedMaster m(mc, 1);
+    m.on_task_done(static_cast<uint64_t>(c.rank()), 1, 1);
+    ASSERT_TRUE(m.exchange_now().ok());
+    ASSERT_TRUE(m.exchange_now().ok());  // an empty delta is still sent
+  });
+  for (int r = 0; r < p; ++r) {
+    EXPECT_EQ(reg.counter("master.status_sends", r), 2.0 * expected) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, Dissemination, ::testing::Values(2, 3, 5, 8, 13, 64));
+
+TEST(Master, RebindSizesPeerTablesFromTheNewComm) {
+  // A master built while a peer was already dead holds an invalid comm
+  // (size 0). Rebinding to a live comm must size the peer tables, or every
+  // gossiped observation would be dropped.
+  Runtime::run(4, [](Comm& c) {
+    Comm invalid;
+    DistributedMaster m(invalid, 1);
+    Comm mc;
+    ASSERT_TRUE(c.dup(mc, false).ok());
+    m.rebind(mc);
+    m.observe(10.0 * (c.rank() + 1), 2.0);
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_TRUE(m.exchange_now().ok());
+      ASSERT_TRUE(c.barrier().ok());
+    }
+    ASSERT_TRUE(m.drain().ok());
+    for (int r = 0; r < c.size(); ++r) {
+      if (r == c.rank()) continue;
+      auto obs = m.peer_observation(r);
+      ASSERT_TRUE(obs.has_value()) << "rank " << c.rank() << " lacks obs of " << r;
+      EXPECT_DOUBLE_EQ(obs->first, 10.0 * (r + 1));
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // LoadBalancer
 // ---------------------------------------------------------------------------
@@ -638,6 +739,48 @@ TEST(Adapters, MapperReducerThroughStageFns) {
   fns.reduce("apple", ones, reduced);
   ASSERT_EQ(reduced.size(), 1u);
   EXPECT_EQ(reduced.view(0).value, "2");
+}
+
+TEST(Master, FailureFreeJobDrainsEveryStatusMessage) {
+  // With no mid-phase exchange (huge status interval), all gossip is the
+  // map-phase exchange; the post-barrier drain consumes every message, so
+  // the drained count is exact rather than a real-time race.
+  storage::TempDir tmp("ftmr-drain");
+  storage::StorageOptions so;
+  so.root = tmp.path();
+  storage::StorageSystem fs(so);
+  for (int i = 0; i < 6; ++i) {
+    std::string text;
+    for (int j = 0; j < 20; ++j) text += "w" + std::to_string((i + j) % 7) + "\n";
+    ASSERT_TRUE(fs.write_file(storage::Tier::kShared, 0,
+                              "input/chunk_" + std::to_string(i),
+                              as_bytes_view(text)).ok());
+  }
+  FtJobOptions opts;
+  opts.mode = FtMode::kDetectResumeWC;
+  opts.ppn = 2;
+  opts.status_interval_commits = std::numeric_limits<int>::max();
+  auto& reg = metrics::MetricsRegistry::global();
+  reg.reset();
+  constexpr int kP = 5;
+  simmpi::JobResult r = Runtime::run(kP, [&](Comm& c) {
+    FtJob job(c, &fs, opts);
+    Status s = job.run([](FtJob& j) {
+      if (auto st = j.run_stage(redistribution::tiny_wordcount(), false, nullptr); !st.ok()) {
+        return st;
+      }
+      return j.write_output();
+    });
+    EXPECT_TRUE(s.ok()) << s.to_string();
+  });
+  ASSERT_EQ(r.finished_count(), kP);
+  double sent = 0.0, drained = 0.0;
+  for (int g = 0; g < kP; ++g) {
+    sent += reg.counter("master.status_sends", g);
+    drained += reg.counter("master.status_drained", g);
+  }
+  EXPECT_EQ(sent, static_cast<double>(kP * ceil_log2(kP)));
+  EXPECT_EQ(drained, sent);
 }
 
 }  // namespace

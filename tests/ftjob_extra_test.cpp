@@ -3,6 +3,7 @@
 // restart, and a randomized kill-time sweep.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 
 #include "apps/textgen.hpp"
@@ -235,10 +236,15 @@ TEST(Placement, RestartFromSharedWithPrefetch) {
 // lands in the job's timeline.
 // ---------------------------------------------------------------------------
 
+// The padding after `mode` is an explicit zeroed field so the test names,
+// which carry the param's bytes, are the same on every run.
 struct SweepCase {
+  SweepCase(FtMode m, double t) : mode(m), kill_vtime(t) {}
   FtMode mode;
+  int32_t zero_pad = 0;
   double kill_vtime;
 };
+static_assert(sizeof(SweepCase) == 16);
 
 class KillSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -347,6 +353,26 @@ TEST(OutOfCoreFtJob, OutputByteIdenticalToInCore) {
   // or this test would vacuously compare two in-core runs.
   EXPECT_GT(budget.fs->stats(storage::Tier::kLocal).bytes_written,
             in_core.fs->stats(storage::Tier::kLocal).bytes_written);
+}
+
+TEST(OutOfCoreFtJob, DefaultPageSizeKeepsPeakWithinBudget) {
+  // The paged shuffle sizes its rounds from the clamped page: with the
+  // 1 MiB default spill_page_bytes and a small budget, one round must not
+  // carry the whole dataset (ext07's bound: peak <= 1.5 x budget).
+  Cluster cl;
+  FtJobOptions o = budget_opts(FtMode::kNone);
+  o.spill_page_bytes = FtJobOptions{}.spill_page_bytes;
+  ASSERT_GE(o.spill_page_bytes, 8 * o.memory_budget);
+  std::atomic<int> within{0};
+  Runtime::run(4, [&](Comm& c) {
+    FtJob job(c, cl.fs.get(), o);
+    ASSERT_TRUE(job.run([&](FtJob& j) { return driver_of(j, wc_fns(false)); }).ok());
+    const size_t peak = job.residency().peak;
+    EXPECT_LE(peak, o.memory_budget * 3 / 2) << "rank " << c.global_rank();
+    if (peak <= o.memory_budget * 3 / 2) within++;
+  });
+  EXPECT_EQ(within.load(), 4);
+  EXPECT_EQ(cl.read_output(), cl.expected);
 }
 
 TEST(OutOfCoreFtJob, RecoversFromKillMidMap) {

@@ -164,11 +164,17 @@ TEST(NoFt, FailureAbortsJob) {
 // Detect/resume: failures in every phase, WC and NWC
 // ---------------------------------------------------------------------------
 
+// gtest prints a struct param byte-wise and ctest's discovered test names
+// carry that printout, so the padding after `mode` is an explicit zeroed
+// field: left uninitialized, it changed the names from run to run.
 struct DrCase {
+  DrCase(FtMode m, double t, const char* l) : mode(m), kill_vtime(t), label(l) {}
   FtMode mode;
+  int32_t zero_pad = 0;
   double kill_vtime;
   const char* label;
 };
+static_assert(sizeof(DrCase) == 24);
 
 class DetectResume : public ::testing::TestWithParam<DrCase> {};
 
@@ -299,6 +305,64 @@ TEST(CheckpointRestart, FailureInReducePhaseRestartSkipsMap) {
     ASSERT_LT(submissions, 5);
   }
   EXPECT_EQ(submissions, 2);
+  EXPECT_EQ(w.read_output(), w.expected);
+}
+
+TEST(CheckpointRestart, RanksWithoutShuffleDataStillPrimeFromPartitionCheckpoints) {
+  // One distinct word: a single partition receives data, the other owners
+  // receive nothing from the shuffle. Each must still checkpoint its (empty)
+  // partition, or a restart could not claim shuffle-done job-wide.
+  World w(0), golden(0);
+  for (World* world : {&w, &golden}) {
+    for (int i = 0; i < 4; ++i) {
+      std::string text;
+      for (int j = 0; j < 30; ++j) text += "only\n";
+      ASSERT_TRUE(world->fs->write_file(storage::Tier::kShared, 0,
+                                        "input/chunk_" + std::to_string(i),
+                                        as_bytes_view(text)).ok());
+    }
+    world->expected["only"] = 120;
+  }
+  constexpr int kP = 4;
+  constexpr int kVictim = 0;
+  const FtJobOptions opts = base_opts(FtMode::kCheckpointRestart);
+  const auto driver = [](FtJob& j) { return wordcount_driver(j, wordcount_fns()); };
+
+  // Golden run: the op index at which the victim finishes its shuffle (the
+  // phase span is recorded after the shuffle's closing barrier).
+  std::atomic<int64_t> shuffle_done_op{-1};
+  Runtime::run(kP, [&](Comm& c) {
+    FtJob job(c, golden.fs.get(), opts);
+    ASSERT_TRUE(job.run(driver).ok());
+    if (c.global_rank() != kVictim) return;
+    for (const auto& ev : job.trace().events()) {
+      if (ev.cat == "phase" && ev.name == "shuffle") shuffle_done_op = ev.op;
+    }
+  });
+  ASSERT_GT(shuffle_done_op.load(), 0);
+
+  // Kill at the first op after the shuffle: every partition checkpoint is
+  // durable, no stage output is. The restart must resume past the shuffle
+  // on every rank.
+  std::atomic<int> primed_past_shuffle{0};
+  int submissions = 0;
+  for (;;) {
+    submissions++;
+    simmpi::JobOptions jo;
+    if (submissions == 1) jo.kills.push_back({kVictim, -1.0, shuffle_done_op + 1});
+    JobResult r = Runtime::run(kP, [&](Comm& c) {
+      FtJob job(c, w.fs.get(), opts);
+      if (submissions > 1 && job.resumed_from_checkpoint() &&
+          job.stage_phase(0) == FtJob::kPhaseShuffleDone) {
+        primed_past_shuffle++;
+      }
+      (void)job.run(driver);
+    }, jo);
+    if (!r.aborted) break;
+    ASSERT_LT(submissions, 4);
+  }
+  EXPECT_EQ(submissions, 2);
+  EXPECT_EQ(primed_past_shuffle.load(), kP);
   EXPECT_EQ(w.read_output(), w.expected);
 }
 

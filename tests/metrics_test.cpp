@@ -237,7 +237,9 @@ TEST(JobTrace, PhaseSpansMatchTimeBucketsUnderFailure) {
     if (bucket == "combine_saved_bytes") continue;
     const auto it = spans.find(bucket);
     if (seconds == 0.0) {
-      if (it != spans.end()) EXPECT_NEAR(it->second, 0.0, 1e-9) << bucket;
+      if (it != spans.end()) {
+        EXPECT_NEAR(it->second, 0.0, 1e-9) << bucket;
+      }
       continue;
     }
     ASSERT_NE(it, spans.end()) << "no phase spans for bucket " << bucket;

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <numeric>
+#include <random>
 
 #include "simmpi/runtime.hpp"
+#include "tests/test_seed.hpp"
 
 namespace ftmr::simmpi {
 namespace {
@@ -234,6 +236,50 @@ TEST(Collectives, AlltoallEmptyBlocksAllowed) {
     ASSERT_EQ(recv.size(), static_cast<size_t>(kP));
     for (const Bytes& b : recv) EXPECT_TRUE(b.empty());
   });
+}
+
+// Reference payload of the (src, dst) block for a randomized alltoall:
+// empty with probability 1 - density, else 1..64 bytes derived from the
+// triple, so every rank can compute every block without communicating.
+Bytes reference_block(uint64_t seed, int src, int dst, double density) {
+  std::mt19937_64 rng(seed ^ (static_cast<uint64_t>(src) << 32) ^
+                      static_cast<uint64_t>(dst));
+  if (std::uniform_real_distribution<double>(0.0, 1.0)(rng) >= density) return {};
+  Bytes b(1 + rng() % 64);
+  for (std::byte& x : b) x = static_cast<std::byte>(rng());
+  return b;
+}
+
+TEST(Collectives, AlltoallRandomSparseMatchesReference) {
+  // recv[i] must be exactly what rank i addressed to me, empty or not, and
+  // the clock must follow the unchanged cost formula: max arrival + p
+  // latencies + (bytes sent + bytes received) / bandwidth.
+  const uint64_t seed = tests::test_seed(0xa2a);
+  for (const int p : {1, 2, 7, 16}) {
+    for (const double density : {0.0, 0.1, 0.5, 1.0}) {
+      Runtime::run(p, [&](Comm& c) {
+        std::vector<Bytes> send(static_cast<size_t>(p));
+        size_t sent = 0, received = 0;
+        for (int dst = 0; dst < p; ++dst) {
+          send[static_cast<size_t>(dst)] = reference_block(seed, c.rank(), dst, density);
+          sent += send[static_cast<size_t>(dst)].size();
+          received += reference_block(seed, dst, c.rank(), density).size();
+        }
+        std::vector<Bytes> recv{Bytes{std::byte{1}}};  // stale content is replaced
+        ASSERT_TRUE(c.alltoall(send, recv).ok());
+        ASSERT_EQ(recv.size(), static_cast<size_t>(p));
+        for (int src = 0; src < p; ++src) {
+          EXPECT_EQ(recv[static_cast<size_t>(src)],
+                    reference_block(seed, src, c.rank(), density))
+              << "p=" << p << " density=" << density << " src=" << src;
+        }
+        const NetworkModel net;
+        EXPECT_DOUBLE_EQ(c.now(), 0.0 + static_cast<double>(p) * net.latency_s +
+                                      static_cast<double>(sent + received) /
+                                          net.bandwidth_Bps);
+      });
+    }
+  }
 }
 
 TEST(Comms, DupGivesIndependentMatching) {

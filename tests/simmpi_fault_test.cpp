@@ -250,6 +250,89 @@ TEST(Ulfm, ShrinkExcludesDeadRanksAndDensifies) {
   }, kill_rank(2));
 }
 
+// Linear-scan reference for Comm::rel_of_global.
+int scan_rel_of_global(const Comm& c, int g) {
+  for (int rel = 0; rel < c.size(); ++rel) {
+    if (c.global_of_rel(rel) == g) return rel;
+  }
+  return -1;
+}
+
+TEST(Ulfm, RelOfGlobalMatchesLinearScanOnShrunkGroups) {
+  // Shrinking out ranks 1 and 4 leaves the non-identity group {0,2,3,5,6};
+  // a reversed split of it permutes the order as well. The O(1) inverse
+  // index must agree with a scan of the group for every global rank,
+  // including -1 for the dead ranks and for out-of-range ranks.
+  JobOptions jo;
+  jo.kills.push_back({1, 0.0, -1});
+  jo.kills.push_back({4, 0.0, -1});
+  constexpr int kP = 7;
+  Runtime::run(kP, [](Comm& c) {
+    if (c.rank() == 1 || c.rank() == 4) {
+      c.compute(0.1);  // dies
+      return;
+    }
+    while (c.failed_ranks().size() < 2) {
+    }
+    Comm shrunk;
+    ASSERT_TRUE(c.shrink(shrunk).ok());
+    ASSERT_EQ(shrunk.size(), 5);
+    Comm reversed;
+    ASSERT_TRUE(shrunk.split(0, -shrunk.rank(), reversed).ok());
+    ASSERT_EQ(reversed.global_of_rel(0), 6);
+    for (const Comm* comm : {&c, &shrunk, &reversed}) {
+      for (int g = -2; g < kP + 2; ++g) {
+        EXPECT_EQ(comm->rel_of_global(g), scan_rel_of_global(*comm, g))
+            << "size " << comm->size() << " global " << g;
+      }
+      EXPECT_EQ(comm->rel_of_global(comm->global_rank()), comm->rank());
+    }
+    EXPECT_EQ(shrunk.rel_of_global(1), -1);
+    EXPECT_EQ(shrunk.rel_of_global(4), -1);
+    EXPECT_EQ(shrunk.rel_of_global(5), 3);
+  }, jo);
+}
+
+// A contributor that dies after the collective is computed but before it
+// picks up its result: the survivors still complete, and the slot is erased
+// once the last live contributor is done — whether the death comes before
+// (kill_after = 1) or after (kill_after = 2) the other survivor's pickup.
+class DeathBeforePickup : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeathBeforePickup, SurvivorsPickUpAndSlotIsErased) {
+  const int kill_after = GetParam();
+  JobOptions jo;
+  jo.worker_threads = 1;  // returners run to their next park: deterministic
+  std::atomic<int> returned{0};
+  std::atomic<int> victim{-1};
+  std::atomic<int> slots_at_end{-1};
+  JobResult r = Runtime::run(3, [&](Comm& c) {
+    int64_t sum = 0;
+    const Status s = c.allreduce_one(ReduceOp::kSum, int64_t{c.rank() + 1}, sum);
+    ASSERT_TRUE(s.ok()) << s.to_string();
+    EXPECT_EQ(sum, 6);
+    Job* job = c.job();
+    MutexLock lock(job->mu);
+    const int n = ++returned;
+    if (n == kill_after) {
+      // Nobody else has run since the compute, so the slot still holds the
+      // contributions of the ranks that have not picked up. Kill one.
+      ASSERT_EQ(job->slots.size(), 1u);
+      const auto& contribs = job->slots.begin()->second->contribs;
+      ASSERT_EQ(contribs.size(), static_cast<size_t>(3 - n));
+      victim = contribs.begin()->first;  // rel rank on world == global rank
+      job->die_locked(victim);
+    }
+    if (n == 2) slots_at_end = static_cast<int>(job->slots.size());
+  }, jo);
+  ASSERT_GE(victim.load(), 0);
+  EXPECT_TRUE(r.ranks[static_cast<size_t>(victim.load())].killed);
+  EXPECT_EQ(r.finished_count(), 2);
+  EXPECT_EQ(slots_at_end.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(KillAfter, DeathBeforePickup, ::testing::Values(1, 2));
+
 TEST(Ulfm, ShrinkWorksOnRevokedComm) {
   Runtime::run(4, [](Comm& c) {
     if (c.rank() == 3) {

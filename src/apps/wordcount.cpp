@@ -51,25 +51,4 @@ core::StageFns wordcount_stage() {
   return fns;
 }
 
-mr::MapFn wordcount_map_baseline() {
-  return [](uint64_t, std::string_view chunk, mr::KvBuffer& out) -> int64_t {
-    int64_t records = 0;
-    size_t pos = 0;
-    while (pos < chunk.size()) {
-      size_t end = chunk.find('\n', pos);
-      if (end == std::string_view::npos) end = chunk.size();
-      split_words(chunk.substr(pos, end - pos),
-                  [&](std::string_view w) { out.add(w, "1"); });
-      ++records;
-      pos = end + 1;
-    }
-    return records;
-  };
-}
-
-mr::ReduceFn wordcount_reduce_baseline() {
-  return [](std::string_view key, std::span<const std::string_view> values,
-            mr::KvBuffer& out) { out.add(key, std::to_string(sum_values(values))); };
-}
-
 }  // namespace ftmr::apps

@@ -809,6 +809,64 @@ Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
 // reduce
 // ---------------------------------------------------------------------------
 
+Status FtJob::reduce_entry(const StageFns& fns, int stage, int p,
+                           ReduceProgress& rp, std::string_view key,
+                           std::span<const std::string_view> values,
+                           double reduce_cost, mr::KvBuffer& emitted) {
+  emitted.clear();
+  fns.reduce(key, values, emitted);
+  mr::tap_records(mr::kTapReduceEmitted, world_.global_rank(), emitted.size());
+  rp.out.merge_from(emitted);
+  rp.pending_delta.merge_from(emitted);
+  wc_.compute(reduce_cost * static_cast<double>(values.size()));
+  rp.entries_done++;
+  if (opts_.ckpt.enabled &&
+      opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
+      static_cast<int64_t>(rp.entries_done - rp.last_ckpt_entries) >=
+          opts_.ckpt.records_per_ckpt) {
+    const double c0 = wc_.now();
+    if (auto s = check(ckpt_->reduce_ckpt(wc_, stage, p, rp.last_ckpt_entries,
+                                          rp.entries_done, rp.pending_delta));
+        !s.ok()) {
+      return s;
+    }
+    rp.pending_delta.clear();
+    rp.last_ckpt_entries = rp.entries_done;
+    charge_span("ckpt", c0);
+  }
+  if ((rp.entries_done & 0x3f) == 0) {
+    if (auto s = check(master_->tick()); !s.ok()) return s;
+    if (!wc_.failed_ranks().empty()) {
+      return check({ErrorCode::kProcFailed, "failure observed in reduce"});
+    }
+  }
+  return Status::Ok();
+}
+
+Status FtJob::finish_reduce_partition(int stage, StageState& st, int p,
+                                      ReduceProgress& rp) {
+  if (opts_.ckpt.enabled && !rp.pending_delta.empty()) {
+    if (auto s = check(ckpt_->reduce_ckpt(wc_, stage, p, rp.last_ckpt_entries,
+                                          rp.entries_done, rp.pending_delta));
+        !s.ok()) {
+      return s;
+    }
+    rp.pending_delta.clear();
+    rp.last_ckpt_entries = rp.entries_done;
+  }
+  if (rp.kmv_spill) {
+    const double kmv_io = rp.kmv_spill->take_io_seconds();
+    if (kmv_io > 0.0) wc_.compute(kmv_io);
+    rp.kmv_spill.reset();
+  }
+  rp.done = true;
+  st.outputs[p] = rp.out;
+  if (opts_.ckpt.enabled) {
+    return check(ckpt_->stage_output_ckpt(wc_, stage, p, rp.out));
+  }
+  return Status::Ok();
+}
+
 Status FtJob::reduce_partition_spill(const StageFns& fns, int stage,
                                      StageState& st, int p,
                                      ReduceProgress& rp) {
@@ -852,65 +910,13 @@ Status FtJob::reduce_partition_spill(const StageFns& fns, int stage,
           rp.entries_done,
           [&](std::string_view key,
               std::span<const std::string_view> values) -> Status {
-            emitted.clear();
-            fns.reduce(key, values, emitted);
-            mr::tap_records(mr::kTapReduceEmitted, world_.global_rank(),
-                            emitted.size());
-            rp.out.merge_from(emitted);
-            rp.pending_delta.merge_from(emitted);
-            wc_.compute(reduce_cost * static_cast<double>(values.size()));
-            rp.entries_done++;
-            if (opts_.ckpt.enabled &&
-                opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
-                static_cast<int64_t>(rp.entries_done - rp.last_ckpt_entries) >=
-                    opts_.ckpt.records_per_ckpt) {
-              const double c0 = wc_.now();
-              if (auto cs = check(ckpt_->reduce_ckpt(wc_, stage, p,
-                                                     rp.last_ckpt_entries,
-                                                     rp.entries_done,
-                                                     rp.pending_delta));
-                  !cs.ok()) {
-                return cs;
-              }
-              rp.pending_delta.clear();
-              rp.last_ckpt_entries = rp.entries_done;
-              charge_span("ckpt", c0);
-            }
-            if ((rp.entries_done & 0x3f) == 0) {
-              if (auto cs = check(master_->tick()); !cs.ok()) return cs;
-              if (!wc_.failed_ranks().empty()) {
-                if (auto cs = check({ErrorCode::kProcFailed,
-                                     "failure observed in reduce"});
-                    !cs.ok()) {
-                  return cs;
-                }
-              }
-            }
-            return Status::Ok();
+            return reduce_entry(fns, stage, p, rp, key, values, reduce_cost,
+                                emitted);
           });
       !s.ok()) {
     return s;
   }
-  if (opts_.ckpt.enabled && !rp.pending_delta.empty()) {
-    if (auto s = check(ckpt_->reduce_ckpt(wc_, stage, p, rp.last_ckpt_entries,
-                                          rp.entries_done, rp.pending_delta));
-        !s.ok()) {
-      return s;
-    }
-    rp.pending_delta.clear();
-    rp.last_ckpt_entries = rp.entries_done;
-  }
-  const double kmv_io = rp.kmv_spill->take_io_seconds();
-  if (kmv_io > 0.0) wc_.compute(kmv_io);
-  rp.done = true;
-  st.outputs[p] = rp.out;
-  rp.kmv_spill.reset();
-  if (opts_.ckpt.enabled) {
-    if (auto s = check(ckpt_->stage_output_ckpt(wc_, stage, p, rp.out)); !s.ok()) {
-      return s;
-    }
-  }
-  return Status::Ok();
+  return finish_reduce_partition(stage, st, p, rp);
 }
 
 Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
@@ -949,56 +955,13 @@ Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
     std::vector<std::string_view> vscratch;
     for (size_t i = rp.entries_done; i < kmv.size(); ++i) {
       kmv.values_of(i, vscratch);
-      emitted.clear();
-      fns.reduce(kmv.entry(i).key(), vscratch, emitted);
-      mr::tap_records(mr::kTapReduceEmitted, world_.global_rank(), emitted.size());
-      rp.out.merge_from(emitted);
-      rp.pending_delta.merge_from(emitted);
-      wc_.compute(reduce_cost * static_cast<double>(vscratch.size()));
-      rp.entries_done = i + 1;
-      if (opts_.ckpt.enabled &&
-          opts_.ckpt.granularity == CkptOptions::Granularity::kRecord &&
-          static_cast<int64_t>(rp.entries_done - rp.last_ckpt_entries) >=
-              opts_.ckpt.records_per_ckpt) {
-        const double c0 = wc_.now();
-        if (auto s = check(ckpt_->reduce_ckpt(wc_, stage, p,
-                                              rp.last_ckpt_entries,
-                                              rp.entries_done,
-                                              rp.pending_delta));
-            !s.ok()) {
-          return s;
-        }
-        rp.pending_delta.clear();
-        rp.last_ckpt_entries = rp.entries_done;
-        charge_span("ckpt", c0);
-      }
-      if ((rp.entries_done & 0x3f) == 0) {
-        if (auto s = check(master_->tick()); !s.ok()) return s;
-        if (!wc_.failed_ranks().empty()) {
-          if (auto s = check({ErrorCode::kProcFailed, "failure observed in reduce"});
-              !s.ok()) {
-            return s;
-          }
-        }
-      }
-    }
-    if (opts_.ckpt.enabled && !rp.pending_delta.empty()) {
-      if (auto s =
-              check(ckpt_->reduce_ckpt(wc_, stage, p, rp.last_ckpt_entries,
-                                       rp.entries_done, rp.pending_delta));
+      if (auto s = reduce_entry(fns, stage, p, rp, kmv.entry(i).key(), vscratch,
+                                reduce_cost, emitted);
           !s.ok()) {
         return s;
       }
-      rp.pending_delta.clear();
-      rp.last_ckpt_entries = rp.entries_done;
     }
-    rp.done = true;
-    st.outputs[p] = rp.out;
-    if (opts_.ckpt.enabled) {
-      if (auto s = check(ckpt_->stage_output_ckpt(wc_, stage, p, rp.out)); !s.ok()) {
-        return s;
-      }
-    }
+    if (auto s = finish_reduce_partition(stage, st, p, rp); !s.ok()) return s;
   }
   ckpt_->drain(wc_);
   if (auto s = check(wc_.barrier()); !s.ok()) return s;

@@ -293,6 +293,19 @@ class FtJob {
                                    StageState& st,
                                    const std::vector<int>& missing);
   Status reduce_phase(const StageFns& fns, int stage, StageState& st);
+  /// One Algorithm-1 reduce step of partition p, shared by the in-core and
+  /// the streamed reduce loops: reduce the key group into `emitted` (reused
+  /// scratch), commit it, checkpoint at the record interval, and poll for
+  /// failures.
+  Status reduce_entry(const StageFns& fns, int stage, int p, ReduceProgress& rp,
+                      std::string_view key,
+                      std::span<const std::string_view> values,
+                      double reduce_cost, mr::KvBuffer& emitted);
+  /// Close partition p's reduce: flush the checkpoint tail, charge the
+  /// streamed KMV's spill I/O (budget mode), publish the output and
+  /// checkpoint it.
+  Status finish_reduce_partition(int stage, StageState& st, int p,
+                                 ReduceProgress& rp);
   // -- out-of-core (memory_budget > 0) --
   [[nodiscard]] bool out_of_core() const noexcept {
     return opts_.memory_budget > 0 && fs_ != nullptr;

@@ -4,7 +4,8 @@
 // Devine, Parallel Computing 2011): a KV buffer collects <key,value> pairs
 // emitted by map tasks; the shuffle exchanges KV pages between ranks; a
 // KV→KMV conversion groups values by key; reduce consumes KMV entries.
-// Both the MR-MPI baseline (src/mr) and FT-MRMPI (src/core) use them.
+// FtJob (src/core) runs on them in every mode, including the MR-MPI
+// comparator (FtMode::kNone).
 //
 // Storage model (DESIGN.md "Flat KV/KMV buffers"): instead of one
 // std::string pair per record (two heap allocations plus a copy at every

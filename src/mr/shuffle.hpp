@@ -1,62 +1,19 @@
-// shuffle.hpp — the all-to-all key exchange.
+// shuffle.hpp — key-hash partitioning for the all-to-all key exchange.
 //
 // MapReduce jobs on MPI exchange intermediate data with MPI_Alltoallv
 // (paper Sec. 3.3): each rank partitions its KV pairs by key hash, sends
-// partition j to rank j, and receives its own partition from everyone.
+// partition j to its owner, and receives its own partitions from everyone.
+// The exchange itself is FtJob's shuffle phase (core/ftjob.hpp).
 #pragma once
 
-#include "common/metrics.hpp"
-#include "common/status.hpp"
+#include <vector>
+
 #include "mr/kv.hpp"
-#include "mr/spill.hpp"
-#include "simmpi/comm.hpp"
 
 namespace ftmr::mr {
 
-struct ShuffleStats {
-  size_t bytes_sent = 0;
-  size_t bytes_received = 0;
-  size_t pairs_sent = 0;
-  size_t pairs_received = 0;
-  /// Modeled local-disk seconds the streamed shuffle spent consuming `in`
-  /// and staging receive pages (shuffle_spill only; the caller charges it
-  /// to its virtual clock alongside the out-buffer's take_io_seconds()).
-  double spill_io_seconds = 0.0;
-};
-
-/// Partition `in` by fnv1a(key) % comm.size().
+/// Partition `in` by partition_of_key(key, nparts), preserving pair order
+/// within each partition.
 std::vector<KvBuffer> partition_by_key(const KvBuffer& in, int nparts);
-
-/// Exchange: everyone contributes its partitions, receives and merges the
-/// partitions addressed to it. Collective over `comm`. When `trace` is
-/// non-null, census/alltoall/adopt spans (cat "shuffle") are recorded on
-/// the caller's virtual timeline.
-Status shuffle(simmpi::Comm& comm, const KvBuffer& in, KvBuffer& out,
-               ShuffleStats* stats = nullptr,
-               metrics::TraceRecorder* trace = nullptr);
-
-/// Exchange pre-partitioned buffers (used when the caller already split the
-/// data, e.g. to checkpoint partitions individually). Takes the partitions
-/// by value: each partition arena is moved out as the send buffer, so pass
-/// std::move(parts) when they are no longer needed, or a copy otherwise.
-Status shuffle_partitions(simmpi::Comm& comm, std::vector<KvBuffer> parts,
-                          KvBuffer& out, ShuffleStats* stats = nullptr,
-                          metrics::TraceRecorder* trace = nullptr);
-
-/// Out-of-core exchange: `in` is consumed page by page (handed-off pages
-/// stop counting against its budget), partitioned into per-destination send
-/// arenas of about `cfg.memory_budget / 2` bytes per round, and exchanged
-/// in as many alltoall rounds as the slowest rank needs (collective: every
-/// rank runs the same round count). Receives accumulate per *sender* and
-/// merge sender-rank-major into `out` (a caller-opened buffer on its own
-/// SpillConfig) by moving page ownership, so the pair order — and therefore
-/// every downstream value list — is byte-identical to shuffle() over the
-/// same data. Peak residency is O(page_bytes x ranks + round budget),
-/// never O(dataset). With `cfg` disabled this degrades to one round and
-/// purely resident buffers.
-Status shuffle_spill(simmpi::Comm& comm, SpillableKvBuffer& in,
-                     SpillableKvBuffer& out, const SpillConfig& cfg,
-                     ShuffleStats* stats = nullptr,
-                     metrics::TraceRecorder* trace = nullptr);
 
 }  // namespace ftmr::mr

@@ -142,39 +142,6 @@ Status SpillableKvBuffer::append_page(KvBuffer&& page) {
   return s;
 }
 
-Status SpillableKvBuffer::absorb_pages(SpillableKvBuffer&& other) {
-  close_open_page();
-  other.close_open_page();
-  // Adopt the donor's storage if this buffer has none, so the moved spill
-  // files can still be removed by our clear()/destructor.
-  if (storage_ == nullptr && other.storage_ != nullptr) {
-    storage_ = other.storage_;
-    node_ = other.node_;
-  }
-  for (Page& p : other.pages_) {
-    if (!p.on_disk) resident_bytes_ += p.bytes;
-    total_pairs_ += p.pairs;
-    total_bytes_ += p.bytes;
-    pages_.push_back(std::move(p));
-  }
-  other.pages_.clear();
-  other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
-  stats_.pages_spilled += other.stats_.pages_spilled;
-  stats_.pages_loaded += other.stats_.pages_loaded;
-  stats_.bytes_spilled += other.stats_.bytes_spilled;
-  stats_.sim_io_seconds += other.stats_.sim_io_seconds;
-  stats_.write_retries += other.stats_.write_retries;
-  stats_.read_retries += other.stats_.read_retries;
-  stats_.write_failures += other.stats_.write_failures;
-  pending_io_seconds_ += other.pending_io_seconds_;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.sync_meter();  // donor's booking drops to zero
-  Status s = enforce_budget();
-  sync_meter();
-  return s;
-}
-
 size_t SpillableKvBuffer::spilled_page_count() const noexcept {
   size_t n = 0;
   for (const Page& p : pages_) n += p.on_disk ? 1 : 0;

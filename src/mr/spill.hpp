@@ -6,8 +6,8 @@
 // keyvalue.h paging design of the original library). The convert/merge
 // costs the paper measures come from exactly these disk-resident pages, so
 // the paging machinery is implemented and tested for real: pages genuinely
-// round-trip through the storage layer, and the shuffle/convert hot paths
-// (shuffle_spill, convert_2pass_spill) stream them page by page instead of
+// round-trip through the storage layer, and the hot paths (FtJob's paged
+// shuffle, convert_2pass_spill) stream them page by page instead of
 // re-materializing the dataset.
 //
 // Page model. A buffer is an ordered list of closed pages — each either
@@ -146,12 +146,6 @@ class SpillableKvBuffer {
   /// Close the open page and append `page` as a closed page of its own
   /// (the paged-shuffle receive path: one adopted wire image per call).
   Status append_page(KvBuffer&& page);
-
-  /// Steal every page of `other` (closed and open, resident and on-disk)
-  /// and append them after this buffer's pages, order preserved, moving
-  /// spill-file ownership — no data is read or copied. `other` is left
-  /// empty. The two buffers must not share a spill directory namespace.
-  Status absorb_pages(SpillableKvBuffer&& other);
 
   /// Pairs added so far (in memory + spilled).
   [[nodiscard]] size_t size() const noexcept { return total_pairs_; }

@@ -1,7 +1,8 @@
 #include "simmpi/job.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 namespace ftmr::simmpi {
 
@@ -122,23 +123,20 @@ void Job::abort_job(int code) {
 }
 
 bool Job::wait_blocked(WaitChannel& ch) {
-  if (sched != nullptr && Scheduler::current() != nullptr) {
-    return sched->park(ch, mu);
+  if (sched == nullptr || Scheduler::current() == nullptr) {
+    std::fputs("simmpi: fatal: Job::wait_blocked called off a scheduler fiber\n",
+               stderr);
+    std::abort();
   }
-  // Plain-thread fallback: classic timed CV wait under mu.
-  return cv.wait_for(mu, std::chrono::duration<double>(opts.deadlock_timeout_s)) ==
-         std::cv_status::timeout;
+  return sched->park(ch, mu);
 }
 
 void Job::wake_channel(WaitChannel& ch) {
   if (sched != nullptr) sched->wake(ch);
-  // Cheap when nobody waits on the CV (the fiber runtime never does).
-  cv.notify_all();
 }
 
 void Job::wake_all() {
   if (sched != nullptr) sched->wake_all_parked();
-  cv.notify_all();
 }
 
 }  // namespace ftmr::simmpi

@@ -160,16 +160,13 @@ class Job {
 
   // ---- guarded by mu ----
   Mutex mu{"job.mu"};
-  /// Legacy wait path for threads that are not scheduler fibers (none in
-  /// the current runtime, but wait_blocked falls back here so Comm stays
-  /// usable from a plain thread). Fiber wakeup goes through the channels.
-  CondVar cv;
 
   const int nranks;
   const JobOptions opts;
   /// Set by the Runtime for the duration of the run (before the worker
   /// pool starts, cleared after it joins — publication is ordered by
-  /// thread creation/join, so no lock is needed). Null => CV fallback.
+  /// thread creation/join, so no lock is needed). Every rank body runs on
+  /// one of its fibers, so every wait_blocked caller parks here.
   Scheduler* sched = nullptr;
   /// Per-global-rank recv wait channel; sized at construction, immutable
   /// after. Channel contents are guarded by the scheduler's mutex.
@@ -200,7 +197,7 @@ class Job {
   /// when the rank is (or must now become) dead. Counts the op.
   void check_callable(int rank) FTMR_EXCLUDES(mu);
 
-  /// Same check for use inside CV wait loops (mu already held, op not
+  /// Same check for use inside wait_blocked loops (mu already held, op not
   /// re-counted).
   void check_callable_locked(int rank) FTMR_REQUIRES(mu);
 
@@ -230,22 +227,23 @@ class Job {
 
   // ---- blocking / wakeup ----
 
-  /// Block the caller on `ch` until a wake arrives, releasing `mu` for the
-  /// duration (condition-variable style; the caller re-checks its predicate
-  /// in a loop). On a scheduler fiber this parks the fiber; on a plain
-  /// thread it falls back to the legacy CV with the wall-clock timeout.
-  /// Returns true if the wait was ended by deadlock detection / timeout.
+  /// Park the calling fiber on `ch` until a wake arrives, releasing `mu`
+  /// for the duration (condition-variable style; the caller re-checks its
+  /// predicate in a loop). Precondition: called from a scheduler fiber of
+  /// this job's run (Runtime::run is the only creator of a Job); any other
+  /// caller is a fatal error. Returns true if the wait was ended by
+  /// deadlock detection / timeout.
   bool wait_blocked(WaitChannel& ch) FTMR_REQUIRES(mu) FTMR_MAY_PARK;
 
-  /// Wake fibers parked on `ch` (and legacy CV waiters). Callable with or
-  /// without `mu`; the caller must have already applied its state change.
+  /// Wake fibers parked on `ch`. Callable with or without `mu`; the caller
+  /// must have already applied its state change.
   void wake_channel(WaitChannel& ch);
 
   /// Wake `global_rank`'s recv channel (a message was staged for it).
   void wake_recv(int global_rank) { wake_channel(recv_ch[global_rank]); }
 
-  /// Broadcast: wake every parked fiber and all CV waiters. For events
-  /// whose predicate spans all channels (death, revoke, abort, finish).
+  /// Broadcast: wake every parked fiber. For events whose predicate spans
+  /// all channels (death, revoke, abort, finish).
   void wake_all();
 };
 

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <charconv>
 #include <map>
+#include <mutex>
 
+#include "common/hash.hpp"
 #include "core/ftjob.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
@@ -65,6 +67,32 @@ struct World {
       }
     }
     return counts;
+  }
+
+  /// Every output key sits in exactly one part file, and that file is its
+  /// key owner's: part-<partition_of_key(key, nparts)>. read_output() sums
+  /// across parts, so a key split over two owners would pass it unnoticed.
+  void expect_keys_at_owners(int nparts, const std::string& dir = "output") {
+    std::vector<std::string> parts;
+    ASSERT_TRUE(fs->list_dir(storage::Tier::kShared, 0, dir, parts).ok());
+    std::map<std::string, std::string> file_of;
+    for (const auto& name : parts) {
+      Bytes data;
+      ASSERT_TRUE(
+          fs->read_file(storage::Tier::kShared, 0, dir + "/" + name, data).ok());
+      ByteReader r(data);
+      while (!r.exhausted()) {
+        std::string k, v;
+        ASSERT_TRUE(r.get_string(k).ok() && r.get_string(v).ok()) << name;
+        EXPECT_TRUE(file_of.emplace(k, name).second)
+            << "key " << k << " in both " << file_of[k] << " and " << name;
+        char owner[32];
+        std::snprintf(owner, sizeof(owner), "part-%05d",
+                      partition_of_key(k, nparts));
+        EXPECT_EQ(name, owner) << "key " << k;
+      }
+    }
+    EXPECT_EQ(file_of.size(), expected.size());
   }
 
   storage::TempDir tmp;
@@ -137,6 +165,7 @@ TEST_P(ModeSweep, FailureFreeOutputCorrect) {
   });
   EXPECT_EQ(r.finished_count(), 4);
   EXPECT_EQ(w.read_output(), w.expected);
+  w.expect_keys_at_owners(4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ModeSweep,
@@ -158,6 +187,46 @@ TEST(NoFt, FailureAbortsJob) {
     (void)job.run([&](FtJob& j) { return wordcount_driver(j, wordcount_fns()); });
   }, jo);
   EXPECT_TRUE(r.aborted);
+}
+
+// The paper's MR-MPI comparator keeps the original 4-pass KV->KMV convert
+// (Sec. 6, Fig. 16). Both algorithms group into the same key order, so the
+// output part files are byte-identical; only the modeled merge cost moves.
+TEST(NoFt, FourPassConvertOutputIdenticalToTwoPass) {
+  World w;
+  std::map<bool, double> merge_s;
+  for (bool two_pass : {false, true}) {
+    FtJobOptions o = base_opts(FtMode::kNone);
+    o.two_pass_convert = two_pass;
+    o.output_dir = two_pass ? "out2" : "out4";
+    std::mutex mu;
+    JobResult r = Runtime::run(4, [&](Comm& c) {
+      FtJob job(c, w.fs.get(), o);
+      ASSERT_TRUE(job.run([&](FtJob& j) {
+                       if (auto s = j.run_stage(wordcount_fns(), false, nullptr);
+                           !s.ok()) {
+                         return s;
+                       }
+                       return j.write_output();
+                     }).ok());
+      std::lock_guard<std::mutex> lock(mu);
+      merge_s[two_pass] += job.times().get("merge");
+    });
+    ASSERT_EQ(r.finished_count(), 4);
+  }
+  EXPECT_EQ(w.read_output("out4"), w.expected);
+  for (int p = 0; p < 4; ++p) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/part-%05d", p);
+    Bytes four, two;
+    ASSERT_TRUE(w.fs->read_file(storage::Tier::kShared, 0,
+                                std::string("out4") + name, four).ok());
+    ASSERT_TRUE(w.fs->read_file(storage::Tier::kShared, 0,
+                                std::string("out2") + name, two).ok());
+    EXPECT_EQ(four, two) << name;
+  }
+  // The 4-pass algorithm moves about twice the bytes (Fig. 16).
+  EXPECT_GT(merge_s[false], merge_s[true]);
 }
 
 // ---------------------------------------------------------------------------

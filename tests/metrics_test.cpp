@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -15,7 +16,6 @@
 #include "apps/wordcount.hpp"
 #include "common/metrics.hpp"
 #include "core/ftjob.hpp"
-#include "mr/shuffle.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
 
@@ -162,27 +162,55 @@ TEST(MetricsRegistry, GlobalIsASingleton) {
 // ---------------------------------------------------------------------------
 
 TEST(ShuffleTrace, EmitsCensusAlltoallAdoptSpans) {
-  TraceRecorder trace;
-  std::mutex mu;
-  Runtime::run(4, [&](Comm& c) {
-    mr::KvBuffer in, out;
-    for (int i = 0; i < 32; ++i) {
-      in.add("key" + std::to_string(i), std::to_string(c.rank()));
+  // Both shuffle paths, the in-core exchange (budget 0) and the paged
+  // rounds (a budget far below the dataset), must put their census,
+  // alltoall and adopt spans on every rank's timeline.
+  for (const size_t budget : {size_t{0}, size_t{8} << 10}) {
+    storage::TempDir tmp("ftmr-metrics-shuffle");
+    storage::StorageOptions so;
+    so.root = tmp.path();
+    storage::StorageSystem fs(so);
+    apps::TextGenOptions tg;
+    tg.nchunks = 8;
+    tg.lines_per_chunk = 32;
+    ASSERT_TRUE(apps::generate_text(fs, tg).ok());
+    core::FtJobOptions opts;
+    opts.mode = core::FtMode::kNone;
+    opts.ckpt.enabled = false;
+    opts.ppn = 2;
+    opts.memory_budget = budget;
+    opts.spill_page_bytes = 1 << 10;
+    TraceRecorder trace;
+    std::mutex mu;
+    Runtime::run(4, [&](Comm& c) {
+      core::FtJob job(c, &fs, opts);
+      ASSERT_TRUE(job.run([](core::FtJob& j) -> Status {
+                       if (auto s = j.run_stage(apps::wordcount_stage(), false,
+                                                nullptr);
+                           !s.ok()) {
+                         return s;
+                       }
+                       return j.write_output();
+                     }).ok());
+      std::lock_guard<std::mutex> lock(mu);
+      trace.merge(job.trace());
+    });
+    if (budget > 0) {
+      // Checkpoints are off, so local-tier writes are spill pages: the
+      // budget run really took the paged path.
+      EXPECT_GT(fs.stats(storage::Tier::kLocal).bytes_written, 0u);
     }
-    TraceRecorder mine(c.rank());
-    mr::ShuffleStats st;
-    ASSERT_TRUE(mr::shuffle(c, in, out, &st, &mine).ok());
-    std::lock_guard<std::mutex> lock(mu);
-    trace.merge(mine);
-  });
-  std::map<std::string, int> names;
-  for (const auto& e : trace.events()) {
-    EXPECT_EQ(e.cat, "shuffle");
-    names[e.name]++;
+    std::map<std::string, std::set<int>> ranks_of;
+    for (const auto& e : trace.events()) {
+      if (e.name.rfind("shuffle.", 0) != 0) continue;
+      EXPECT_EQ(e.cat, "shuffle") << e.name;
+      ranks_of[e.name].insert(e.tid);
+    }
+    const std::set<int> all = {0, 1, 2, 3};
+    for (const char* name : {"shuffle.census", "shuffle.alltoall", "shuffle.adopt"}) {
+      EXPECT_EQ(ranks_of[name], all) << name << " budget=" << budget;
+    }
   }
-  EXPECT_EQ(names["shuffle.census"], 4);
-  EXPECT_EQ(names["shuffle.alltoall"], 4);
-  EXPECT_EQ(names["shuffle.adopt"], 4);
 }
 
 // ---------------------------------------------------------------------------

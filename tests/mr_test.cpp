@@ -1,25 +1,18 @@
-// Tests for the MR-MPI baseline engine: KV/KMV buffers, shuffle, both
-// KV→KMV conversion algorithms (incl. their equivalence property), and the
-// end-to-end baseline driver.
+// Tests for the MR-MPI data structures: KV/KMV buffers, key partitioning,
+// both KV→KMV conversion algorithms (incl. their equivalence property), and
+// the paged spill buffer.
 #include <gtest/gtest.h>
 
-#include <charconv>
 #include <map>
 
 #include "common/rng.hpp"
 #include "mr/convert.hpp"
-#include "mr/mapreduce.hpp"
 #include "mr/shuffle.hpp"
-#include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
 #include "tests/test_seed.hpp"
 
 namespace ftmr::mr {
 namespace {
-
-using simmpi::Comm;
-using simmpi::JobResult;
-using simmpi::Runtime;
 
 std::vector<std::string> values_of(const KmvBuffer& kmv, size_t i) {
   std::vector<std::string_view> views;
@@ -158,154 +151,6 @@ TEST_P(ConvertEquivalence, TwoPassMatchesFourPass) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConvertEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
-
-TEST(Shuffle, EveryPairReachesItsKeyOwner) {
-  constexpr int kP = 4;
-  Runtime::run(kP, [](Comm& c) {
-    KvBuffer mine;
-    for (int i = 0; i < 50; ++i) {
-      mine.add("key" + std::to_string(i), "from" + std::to_string(c.rank()));
-    }
-    KvBuffer got;
-    ShuffleStats st;
-    ASSERT_TRUE(shuffle(c, mine, got, &st).ok());
-    EXPECT_EQ(st.pairs_sent, 50u);
-    // Each key appears kP times (once per sender) and only on its owner.
-    for (KvView p : got) {
-      EXPECT_EQ(partition_of_key(p.key, kP), c.rank());
-    }
-    int64_t total = 0;
-    ASSERT_TRUE(c.allreduce_one(simmpi::ReduceOp::kSum,
-                                static_cast<int64_t>(got.size()), total).ok());
-    EXPECT_EQ(total, 50 * kP);
-  });
-}
-
-// --- end-to-end baseline wordcount ---
-
-struct MiniCluster {
-  MiniCluster() : tmp("ftmr-mr-test") {
-    storage::StorageOptions o;
-    o.root = tmp.path();
-    fs = std::make_unique<storage::StorageSystem>(o);
-  }
-  storage::TempDir tmp;
-  std::unique_ptr<storage::StorageSystem> fs;
-};
-
-int64_t wordcount_map(uint64_t, std::string_view chunk, KvBuffer& out) {
-  int64_t n = 0;
-  size_t pos = 0;
-  while (pos < chunk.size()) {
-    size_t end = chunk.find(' ', pos);
-    if (end == std::string_view::npos) end = chunk.size();
-    if (end > pos) {
-      out.add(chunk.substr(pos, end - pos), "1");
-      ++n;
-    }
-    pos = end + 1;
-  }
-  return n;
-}
-
-void sum_reduce(std::string_view key, std::span<const std::string_view> values,
-                KvBuffer& out) {
-  int64_t sum = 0;
-  for (std::string_view v : values) {
-    int64_t n = 0;
-    std::from_chars(v.data(), v.data() + v.size(), n);
-    sum += n;
-  }
-  out.add(key, std::to_string(sum));
-}
-
-std::map<std::string, int64_t> read_counts(storage::StorageSystem& fs,
-                                           const std::string& dir) {
-  std::vector<std::string> parts;
-  EXPECT_TRUE(fs.list_dir(storage::Tier::kShared, 0, dir, parts).ok());
-  std::map<std::string, int64_t> counts;
-  for (const auto& name : parts) {
-    Bytes data;
-    EXPECT_TRUE(fs.read_file(storage::Tier::kShared, 0, dir + "/" + name, data).ok());
-    ByteReader r(data);
-    while (!r.exhausted()) {
-      std::string k, v;
-      if (!r.get_string(k).ok() || !r.get_string(v).ok()) {
-        ADD_FAILURE() << "corrupt output part " << name;
-        break;
-      }
-      counts[k] += std::strtoll(v.c_str(), nullptr, 10);
-    }
-  }
-  return counts;
-}
-
-TEST(BaselineJob, WordcountEndToEnd) {
-  MiniCluster cl;
-  // 6 chunks: "w0 w1 w0", "w1 w2 w1", ... deterministic counts.
-  for (int i = 0; i < 6; ++i) {
-    const std::string text = "w" + std::to_string(i % 3) + " common w" +
-                             std::to_string(i % 3);
-    char name[32];
-    std::snprintf(name, sizeof(name), "chunk_%03d", i);
-    ASSERT_TRUE(cl.fs->write_file(storage::Tier::kShared, 0,
-                                  std::string("input/") + name,
-                                  as_bytes_view(text)).ok());
-  }
-  JobResult r = Runtime::run(4, [&](Comm& c) {
-    JobOptions o;
-    o.ppn = 2;
-    MapReduce job(c, cl.fs.get(), o);
-    ASSERT_TRUE(job.run(wordcount_map, sum_reduce).ok());
-    EXPECT_GT(job.times().get("map"), 0.0);
-    EXPECT_GT(job.times().get("shuffle"), 0.0);
-    EXPECT_GT(job.times().get("merge"), 0.0);
-    EXPECT_GT(job.times().get("reduce"), 0.0);
-  });
-  ASSERT_EQ(r.finished_count(), 4);
-  auto counts = read_counts(*cl.fs, "output");
-  EXPECT_EQ(counts["common"], 6);
-  EXPECT_EQ(counts["w0"], 4);
-  EXPECT_EQ(counts["w1"], 4);
-  EXPECT_EQ(counts["w2"], 4);
-}
-
-TEST(BaselineJob, TwoPassConvertProducesSameOutput) {
-  MiniCluster cl;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(cl.fs->write_file(storage::Tier::kShared, 0,
-                                  "input/c" + std::to_string(i),
-                                  as_bytes_view("a b a c b a")).ok());
-  }
-  for (bool two_pass : {false, true}) {
-    Runtime::run(3, [&](Comm& c) {
-      JobOptions o;
-      o.two_pass_convert = two_pass;
-      o.output_dir = two_pass ? "out2" : "out4";
-      MapReduce job(c, cl.fs.get(), o);
-      ASSERT_TRUE(job.run(wordcount_map, sum_reduce).ok());
-    });
-  }
-  EXPECT_EQ(read_counts(*cl.fs, "out2"), read_counts(*cl.fs, "out4"));
-}
-
-TEST(BaselineJob, FailureAbortsWholeJobWithFatalHandler) {
-  MiniCluster cl;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(cl.fs->write_file(storage::Tier::kShared, 0,
-                                  "input/c" + std::to_string(i),
-                                  as_bytes_view("x y z")).ok());
-  }
-  simmpi::JobOptions jo;
-  jo.kills.push_back({1, 1e-7, -1});  // dies very early in the map phase
-  JobResult r = Runtime::run(4, [&](Comm& c) {
-    // Stock-MPI behaviour: errors are fatal.
-    c.set_error_handler([](Comm& comm, const Status&) { comm.abort(1); });
-    MapReduce job(c, cl.fs.get(), {});
-    (void)job.run(wordcount_map, sum_reduce);
-  }, jo);
-  EXPECT_TRUE(r.aborted);  // the whole job is lost — no fault tolerance
-}
 
 }  // namespace
 }  // namespace ftmr::mr

@@ -1,28 +1,27 @@
 // Out-of-core KV hot path: the spill layer's failure-path guarantees
 // (write-retention + retry ladder, budget accounting including the open
-// page, drain_to partial-failure semantics), the KMV page codec, the
-// streamed shuffle/convert equivalence against the in-core reference under
-// randomized page boundaries, and end-to-end MapReduce budget-mode parity.
+// page, drain_to partial-failure semantics), the KMV page codec, and the
+// streamed convert's equivalence against the in-core reference under
+// randomized page boundaries, and end-to-end budget-mode parity of the
+// non-fault-tolerant job (FtMode::kNone) on a dataset far larger than its
+// budget. The fault-tolerant modes' paged runs are in ftjob_extra_test
+// (OutOfCoreFtJob.*).
 #include <gtest/gtest.h>
 
-#include <charconv>
+#include <cstdio>
 #include <map>
 #include <string>
 
+#include "apps/wordcount.hpp"
 #include "common/rng.hpp"
+#include "core/ftjob.hpp"
 #include "mr/convert.hpp"
-#include "mr/mapreduce.hpp"
-#include "mr/shuffle.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
 #include "tests/test_seed.hpp"
 
 namespace ftmr::mr {
 namespace {
-
-using simmpi::Comm;
-using simmpi::JobResult;
-using simmpi::Runtime;
 
 struct MiniCluster {
   MiniCluster() : tmp("ftmr-ooc-test") {
@@ -363,89 +362,7 @@ TEST(StreamedConvert, MatchesInCoreReferenceAcrossRandomBoundaries) {
   }
 }
 
-// --- streamed shuffle vs in-core reference --------------------------------
-
-TEST(StreamedShuffle, ByteIdenticalToInCoreShuffle) {
-  Rng seed_rng(tests::test_seed(0x0c4));
-  for (int iter = 0; iter < 4; ++iter) {
-    const int nranks = 3 + static_cast<int>(seed_rng.next_below(3));
-    const uint64_t data_seed = seed_rng.next_u64();
-    const size_t page = 64 + seed_rng.next_below(512);
-    const size_t budget = 256 + seed_rng.next_below(2048);
-    auto make_input = [&](int rank) {
-      KvBuffer kv;
-      Rng rng(data_seed + static_cast<uint64_t>(rank));
-      const int n = 100 + static_cast<int>(rng.next_below(400));
-      for (int i = 0; i < n; ++i) {
-        kv.add("k" + std::to_string(rng.next_below(97)),
-               "r" + std::to_string(rank) + "_" + std::to_string(i));
-      }
-      return kv;
-    };
-    // Reference: single-shot in-core shuffle.
-    std::vector<Bytes> ref(static_cast<size_t>(nranks));
-    Runtime::run(nranks, [&](Comm& c) {
-      KvBuffer out;
-      ASSERT_TRUE(shuffle(c, make_input(c.rank()), out).ok());
-      ref[static_cast<size_t>(c.rank())] = std::move(out).take_wire();
-    });
-    // Streamed: paged multi-round exchange over spillable buffers.
-    MiniCluster cl;
-    std::vector<Bytes> got(static_cast<size_t>(nranks));
-    Runtime::run(nranks, [&](Comm& c) {
-      const std::string r = std::to_string(c.rank());
-      SpillableKvBuffer in(
-          cfg_of(cl.fs.get(), "sh_in_r" + r, page, budget));
-      const KvBuffer input = make_input(c.rank());
-      for (KvView p : input) ASSERT_TRUE(in.add(p.key, p.value).ok());
-      SpillableKvBuffer out(
-          cfg_of(cl.fs.get(), "sh_out_r" + r, page, budget));
-      ShuffleStats st;
-      ASSERT_TRUE(shuffle_spill(c, in, out,
-                                cfg_of(cl.fs.get(), "sh_cfg_r" + r, page,
-                                       budget),
-                                &st)
-                      .ok());
-      EXPECT_TRUE(in.empty());
-      KvBuffer flat;
-      ASSERT_TRUE(out.drain_to(flat).ok());
-      got[static_cast<size_t>(c.rank())] = std::move(flat).take_wire();
-    });
-    for (int r = 0; r < nranks; ++r) {
-      EXPECT_EQ(got[static_cast<size_t>(r)], ref[static_cast<size_t>(r)])
-          << "iter=" << iter << " rank=" << r
-          << ": streamed shuffle must preserve pair order exactly";
-    }
-  }
-}
-
-// --- end-to-end MapReduce budget mode -------------------------------------
-
-int64_t wordcount_map(uint64_t, std::string_view chunk, KvBuffer& out) {
-  int64_t n = 0;
-  size_t pos = 0;
-  while (pos < chunk.size()) {
-    size_t end = chunk.find(' ', pos);
-    if (end == std::string_view::npos) end = chunk.size();
-    if (end > pos) {
-      out.add(chunk.substr(pos, end - pos), "1");
-      ++n;
-    }
-    pos = end + 1;
-  }
-  return n;
-}
-
-void sum_reduce(std::string_view key, std::span<const std::string_view> values,
-                KvBuffer& out) {
-  int64_t sum = 0;
-  for (std::string_view v : values) {
-    int64_t n = 0;
-    std::from_chars(v.data(), v.data() + v.size(), n);
-    sum += n;
-  }
-  out.add(key, std::to_string(sum));
-}
+// --- end-to-end budget mode ----------------------------------------------
 
 Bytes read_part(storage::StorageSystem& fs, const std::string& dir, int rank) {
   char name[64];
@@ -476,16 +393,24 @@ TEST(OutOfCoreJob, OutputByteIdenticalToInCore) {
   }
   const int kRanks = 4;
   auto run_mode = [&](size_t budget, const std::string& out_dir) {
-    JobResult r = Runtime::run(kRanks, [&](Comm& c) {
-      JobOptions o;
+    simmpi::JobResult r = simmpi::Runtime::run(kRanks, [&](simmpi::Comm& c) {
+      core::FtJobOptions o;
+      o.mode = core::FtMode::kNone;
+      o.ckpt.enabled = false;
       o.ppn = 2;
       o.two_pass_convert = true;
       o.output_dir = out_dir;
       o.memory_budget = budget;
       o.spill_dir = "spill_" + out_dir;
       o.spill_page_bytes = 2048;
-      MapReduce job(c, cl.fs.get(), o);
-      ASSERT_TRUE(job.run(wordcount_map, sum_reduce).ok());
+      core::FtJob job(c, cl.fs.get(), o);
+      const core::StageFns fns = apps::wordcount_stage();
+      ASSERT_TRUE(job.run([&](core::FtJob& j) {
+                       if (auto s = j.run_stage(fns, false, nullptr); !s.ok()) {
+                         return s;
+                       }
+                       return j.write_output();
+                     }).ok());
     });
     ASSERT_EQ(r.finished_count(), kRanks);
   };
@@ -502,12 +427,15 @@ TEST(OutOfCoreJob, OutputByteIdenticalToInCore) {
               read_part(*cl.fs, "out_incore", r))
         << "rank " << r << " part file must be byte-identical";
   }
-  // ...and cleaned its scratch up afterwards.
-  std::vector<std::string> spilled;
-  ASSERT_TRUE(cl.fs->list_dir(storage::Tier::kLocal, 0, "spill_out_ooc",
-                              spilled)
-                  .ok());
-  EXPECT_TRUE(spilled.empty()) << "spill scratch must be cleaned up";
+  // ...and cleaned its scratch up afterwards, on every node.
+  for (int node = 0; node < kRanks / 2; ++node) {
+    std::vector<std::string> spilled;
+    ASSERT_TRUE(cl.fs->list_dir(storage::Tier::kLocal, node, "spill_out_ooc",
+                                spilled)
+                    .ok());
+    EXPECT_TRUE(spilled.empty())
+        << "node " << node << " spill scratch must be cleaned up";
+  }
 }
 
 }  // namespace

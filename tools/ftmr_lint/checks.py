@@ -1,6 +1,6 @@
 """checks — the ftmr-lint check registry.
 
-Four project-specific checks over the frontend-neutral IR (model.py):
+Four project-specific checks over the event IR (model.py):
 
   determinism     — replay-critical paths (simmpi, testing, checkpoint
                     sequencing) must be bit-deterministic: no wall clocks,

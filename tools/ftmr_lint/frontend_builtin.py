@@ -1,14 +1,12 @@
 """frontend_builtin — self-contained C++ frontend for ftmr-lint.
 
-Used when the libclang cindex bindings are not importable (the CI job
-installs python3-clang and gets the real Clang AST via frontend_clang;
-developer machines and hermetic containers fall back here). It is a real
-structural parser over the cpplex token stream — it tracks namespace /
-class / function / block scopes, member and local declarations, scoped
-lock lifetimes and call expressions — not a set of line regexes. Both
-frontends lower to the same event IR (model.py), and the self-test
-fixtures run against whichever frontend is active, so the two cannot
-silently diverge on the invariants they enforce.
+ftmr-lint's only frontend: it needs nothing beyond the Python standard
+library, so the lint runs the same in CI, on developer machines and in
+hermetic containers. It is a real structural parser over the cpplex
+token stream — it tracks namespace / class / function / block scopes,
+member and local declarations, scoped lock lifetimes and call
+expressions — not a set of line regexes. It lowers to the event IR in
+model.py, which is what the checks and the self-test fixtures run on.
 
 Known approximations (shared with the checks' design):
   * both arms of an #if are lexed; the parser tolerates the extra tokens;

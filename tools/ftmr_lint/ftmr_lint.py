@@ -17,11 +17,9 @@ Usage:
   ftmr_lint.py -p build --extra-source bad.cpp    # CI mutation check
 
 The tool consumes the real compile DB (CMAKE_EXPORT_COMPILE_COMMANDS)
-for the TU list and include paths. Two interchangeable frontends lower
-C++ to the shared event IR in model.py: a libclang `cindex` frontend
-(used when the clang Python bindings are installed, e.g. the CI lint
-job) and a built-in lexer/scope frontend with identical semantics for
-environments without libclang. `--frontend` forces one explicitly.
+for the TU list and include paths. A self-contained lexer/scope frontend
+(frontend_builtin.py) lowers C++ to the event IR in model.py that the
+checks run on; it needs nothing beyond the Python standard library.
 
 Exit status: 0 clean, 1 diagnostics emitted, 2 usage/internal error.
 """
@@ -39,6 +37,7 @@ sys.path.insert(0, _HERE)
 
 import minyaml  # noqa: E402
 from checks import CHECKS, run_checks  # noqa: E402
+from frontend_builtin import BuiltinFrontend  # noqa: E402
 
 DEFAULT_CONFIG = {
     # -- determinism ------------------------------------------------------
@@ -149,26 +148,6 @@ def load_compile_db(build_dir: str):
     return [(src, incs) for src, incs in sorted(units.items())]
 
 
-def make_frontend(choice: str, cfg):
-    if choice in ("auto", "clang"):
-        try:
-            from frontend_clang import ClangFrontend
-            if ClangFrontend.available():
-                return ClangFrontend(cfg)
-            if choice == "clang":
-                raise SystemExit(
-                    "ftmr-lint: --frontend clang requested but libclang / "
-                    "clang.cindex is not usable here (install python3-clang "
-                    "+ libclang, or use --frontend builtin)")
-        except ImportError:
-            if choice == "clang":
-                raise SystemExit(
-                    "ftmr-lint: clang.cindex not importable; install "
-                    "python3-clang or use --frontend builtin")
-    from frontend_builtin import BuiltinFrontend
-    return BuiltinFrontend(cfg)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="ftmr-lint", description=__doc__,
@@ -177,8 +156,6 @@ def main(argv=None):
                     help="build dir containing compile_commands.json")
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(_HERE)),
                     help="project root; only files under it are analyzed")
-    ap.add_argument("--frontend", choices=["auto", "clang", "builtin"],
-                    default="auto")
     ap.add_argument("--checks", metavar="LIST",
                     help="comma-separated subset of checks to run")
     ap.add_argument("--lock-table",
@@ -224,7 +201,7 @@ def main(argv=None):
     cfg = DEFAULT_CONFIG
     table = minyaml.load_path(args.lock_table)
 
-    frontend = make_frontend(args.frontend, cfg)
+    frontend = BuiltinFrontend(cfg)
     model = frontend.parse_project(units, root)
     diags = run_checks(model, cfg, table, selected)
 

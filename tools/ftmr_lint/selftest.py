@@ -56,7 +56,7 @@ def collect_fixtures():
 def run_lint(sources, extra_args=()):
     argv = ["--root", FIXTURES,
             "--lock-table", os.path.join(FIXTURES, "lock_table.yaml"),
-            "--frontend", "builtin", "-q", *extra_args, *sources]
+            "-q", *extra_args, *sources]
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(out):
         code = ftmr_lint.main(argv)

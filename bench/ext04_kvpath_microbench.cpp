@@ -241,37 +241,14 @@ struct Series {
   }
 };
 
-void write_json(const std::vector<Series>& series, bool all_pass) {
-  std::FILE* f = std::fopen("BENCH_kvpath.json", "w");
-  if (!f) return;
-  std::fprintf(f, "{\n  \"bench\": \"ext04_kvpath_microbench\",\n");
-  std::fprintf(f, "  \"pipeline\": \"emit+partition+exchange+convert\",\n");
-  std::fprintf(f, "  \"nparts\": %d,\n  \"workloads\": [\n", kParts);
-  for (size_t i = 0; i < series.size(); ++i) {
-    const Series& s = series[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"records\": %zu, "
-                 "\"payload_bytes\": %zu, \"groups\": %zu,\n"
-                 "     \"legacy_ms\": %.3f, \"flat_ms\": %.3f, "
-                 "\"legacy_mib_s\": %.1f, \"flat_mib_s\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 s.name.c_str(), s.records, s.payload_bytes, s.flat.groups,
-                 s.legacy.seconds * 1e3, s.flat.seconds * 1e3, s.mbps(s.legacy),
-                 s.mbps(s.flat), s.speedup(),
-                 i + 1 < series.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"all_checks_passed\": %s\n}\n",
-               all_pass ? "true" : "false");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
   Report rep("ext04: arena KV path vs string-pair reference (microbench)",
              "flat wire-format arenas make emit/shuffle/convert memcpy-bound; "
              "the string-pair design pays two allocations + a copy per record "
-             "per stage");
+             "per stage",
+             "kvpath");
 
   const std::vector<Workload> workloads = {
       // The acceptance-bar workload: shuffle-dominated, tiny records.
@@ -302,6 +279,15 @@ int main() {
     rep.row("%-14s %10zu %12.2f %12.2f %12.1f %7.2fx", s.name.c_str(),
             s.records, s.legacy.seconds * 1e3, s.flat.seconds * 1e3,
             s.mbps(s.flat), s.speedup());
+    const std::string key = s.name + ".";
+    rep.metric(key + "records", static_cast<double>(s.records));
+    rep.metric(key + "payload_bytes", static_cast<double>(s.payload_bytes));
+    rep.metric(key + "groups", static_cast<double>(s.flat.groups));
+    rep.metric(key + "legacy_ms", s.legacy.seconds * 1e3);
+    rep.metric(key + "flat_ms", s.flat.seconds * 1e3);
+    rep.metric(key + "legacy_mib_s", s.mbps(s.legacy));
+    rep.metric(key + "flat_mib_s", s.mbps(s.flat));
+    rep.metric(key + "speedup", s.speedup());
   }
 
   rep.section("shape checks");
@@ -322,7 +308,5 @@ int main() {
   rep.check("skewed-key pipeline faster", series[2].speedup() >= 1.0,
             "measured " + std::to_string(series[2].speedup()) + "x");
 
-  const int failed = rep.finish();
-  write_json(series, failed == 0);
-  return failed;
+  return rep.finish();
 }

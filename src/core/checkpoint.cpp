@@ -81,6 +81,16 @@ bool parse_name(const std::string& name, ParsedName& out) {
   return parse_checkpoint_name(name, out);
 }
 
+/// A partition checkpoint's payload up to the record bytes:
+/// [i32 partition][u32 blob_len][u64 record count] — the partition id, then
+/// put_blob() of the KV wire image, whose own header is the record count.
+void put_partition_prefix(ByteWriter& w, int partition,
+                          const mr::SpillableKvBuffer& kv) {
+  w.put<int32_t>(partition);
+  w.put<uint32_t>(static_cast<uint32_t>(mr::kCountHeaderBytes + kv.bytes()));
+  w.put<uint64_t>(kv.size());
+}
+
 }  // namespace
 
 bool parse_checkpoint_name(const std::string& name, CkptFileName& out) {
@@ -317,20 +327,31 @@ Status CheckpointManager::map_ckpt(simmpi::Comm& comm, int stage, uint64_t task,
 }
 
 Status CheckpointManager::partition_ckpt(simmpi::Comm& comm, int stage,
-                                         int partition, const mr::KvBuffer& kv) {
+                                         int partition,
+                                         mr::SpillableKvBuffer& kv) {
   if (!opts_.enabled) return Status::Ok();
+  if (kv.can_spill()) return stream_partition_ckpt(comm, stage, partition, kv);
+  // An in-memory store is framed whole: one put(), replicas included.
   const int seq = next_seq_++;
-  ByteWriter w;
-  w.put<int32_t>(partition);
-  w.put_blob(kv.wire_view());
+  Bytes payload;
+  payload.reserve(sizeof(int32_t) + sizeof(uint32_t) + mr::kCountHeaderBytes +
+                  kv.bytes());
+  ByteWriter w(std::move(payload));
+  put_partition_prefix(w, partition, kv);
+  if (auto s = kv.for_each_page([&w](const mr::KvBuffer& page) {
+        w.put_bytes(page.wire_view().subspan(mr::kCountHeaderBytes));
+        return Status::Ok();
+      });
+      !s.ok()) {
+    return s;
+  }
   return put(comm, base_name(kPart, stage, static_cast<uint64_t>(partition), seq),
              std::move(w).take());
 }
 
-Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
-                                               int partition,
-                                               mr::SpillableKvBuffer& kv) {
-  if (!opts_.enabled) return Status::Ok();
+Status CheckpointManager::stream_partition_ckpt(simmpi::Comm& comm, int stage,
+                                                int partition,
+                                                mr::SpillableKvBuffer& kv) {
   const int seq = next_seq_++;
   const std::string name =
       base_name(kPart, stage, static_cast<uint64_t>(partition), seq);
@@ -339,8 +360,7 @@ Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
 
   // Frame prefix: header + payload fields up to the KV wire body, built
   // once. The resulting file is byte-identical to frame_checkpoint() over
-  // partition_ckpt's payload — [i32 partition][u32 blob_len][u64 count]
-  // followed by the record bytes — but the record bytes are appended one
+  // the in-memory writer's payload, but the record bytes are appended one
   // page at a time below, so the partition is never whole in memory.
   const uint64_t body_bytes = kv.bytes();
   const uint64_t blob_len = mr::kCountHeaderBytes + body_bytes;
@@ -351,9 +371,7 @@ Status CheckpointManager::partition_ckpt_paged(simmpi::Comm& comm, int stage,
   w.put<uint16_t>(kCkptVersion);
   w.put<uint16_t>(0);  // reserved
   w.put<uint64_t>(payload_len);
-  w.put<int32_t>(partition);
-  w.put<uint32_t>(static_cast<uint32_t>(blob_len));
-  w.put<uint64_t>(kv.size());  // the KV wire's record-count header
+  put_partition_prefix(w, partition, kv);
   const Bytes prefix = std::move(w).take();
   if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
 

@@ -176,22 +176,13 @@ class CheckpointManager {
   /// both would replay the overlap twice.
   Status map_ckpt(simmpi::Comm& comm, int stage, uint64_t task, uint64_t start,
                   uint64_t pos, const mr::KvBuffer& delta);
-  /// Shuffle-end partition checkpoint.
+  /// Shuffle-end partition checkpoint of a partition store. The writer
+  /// follows the store: an in-memory store (one that cannot spill) is
+  /// framed whole and written with one put(), replicated to the memory tier
+  /// like every other checkpoint; a spill-backed store is streamed (see
+  /// stream_partition_ckpt). Both produce byte-identical files.
   Status partition_ckpt(simmpi::Comm& comm, int stage, int partition,
-                        const mr::KvBuffer& kv);
-  /// Shuffle-end partition checkpoint from a spill-backed buffer. The file
-  /// is byte-identical to partition_ckpt's, but it is written as a stream —
-  /// frame header first, then one append per KV page (spilled pages are
-  /// loaded one at a time and stay intact), CRC accumulated incrementally,
-  /// trailer last — so the whole partition is never materialized in memory.
-  /// A failed or torn stream restarts the file on the retry ladder and is
-  /// dropped (best-effort, like every checkpoint write) if the ladder is
-  /// exhausted. Paged checkpoints skip memory-tier replication: a full
-  /// in-RAM replica would re-buy exactly the residency the spill budget
-  /// gave up (ReStore-style budget honesty), so recovery for these files
-  /// goes straight to the file tiers.
-  Status partition_ckpt_paged(simmpi::Comm& comm, int stage, int partition,
-                              mr::SpillableKvBuffer& kv);
+                        mr::SpillableKvBuffer& kv);
   /// Reduce-progress checkpoint; the delta covers KMV entries
   /// [start, entries_done) (see map_ckpt for why start is carried).
   Status reduce_ckpt(simmpi::Comm& comm, int stage, int partition,
@@ -281,6 +272,18 @@ class CheckpointManager {
 
  private:
   Status put(simmpi::Comm& comm, const std::string& name, const Bytes& payload);
+  /// partition_ckpt for a spill-backed store, written as a stream — frame
+  /// header first, then one append per KV page (spilled pages are loaded
+  /// one at a time and stay intact), CRC accumulated incrementally, trailer
+  /// last — so the whole partition is never materialized in memory. A
+  /// failed or torn stream restarts the file on the retry ladder and is
+  /// dropped (best-effort, like every checkpoint write) if the ladder is
+  /// exhausted. No memory-tier replication: a full in-RAM replica would
+  /// re-buy exactly the residency the spill budget gave up (ReStore-style
+  /// budget honesty), so recovery for these files goes straight to the
+  /// file tiers.
+  Status stream_partition_ckpt(simmpi::Comm& comm, int stage, int partition,
+                               mr::SpillableKvBuffer& kv);
   Status put_impl(simmpi::Comm& comm, const std::string& name,
                   const Bytes& framed);
   /// Copier-drain a just-written local checkpoint to the shared tier and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -134,14 +135,6 @@ std::string FtJob::chunk_name(uint64_t task) const { return chunks_[task]; }
 
 int FtJob::owner_rel(int partition) const {
   return wc_.rel_of_global(part_owner_[static_cast<size_t>(partition)]);
-}
-
-std::map<int, mr::KvBuffer> FtJob::owned_orphans(const std::vector<int>& missing) const {
-  std::map<int, mr::KvBuffer> owned;
-  for (int p : missing) {
-    if (part_owner_[static_cast<size_t>(p)] == world_.global_rank()) owned.try_emplace(p);
-  }
-  return owned;
 }
 
 std::vector<uint64_t> FtJob::my_task_ids(int stage, bool kv_input) const {
@@ -284,23 +277,21 @@ Status FtJob::run_one_map_task(const StageFns& fns, bool kv_input, int stage,
     tp.last_ckpt_pos = tp.pos;
     charge_span("ckpt", t0);
   }
-  if (out_of_core()) {
-    // Completed task: move its partitioned output into the stage's paged
-    // stores so residency drops back to O(budget) before the next task.
-    // absorb_kv keeps a page it could not spill resident (over budget,
-    // never lost), so a spill error degrades instead of losing data.
-    for (int p = 0; p < p0_; ++p) {
-      mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
-      if (part.empty()) continue;
-      if (auto s = map_store(st, stage, p).absorb_kv(std::move(part)); !s.ok()) {
-        FTMR_WARN << "rank " << world_.global_rank() << " map output for "
-                  << "partition " << p
-                  << " spill degraded to resident: " << s.to_string();
-      }
+  // Completed task: move its partitioned output into the stage's map stores
+  // (under a budget, residency drops back to O(budget) before the next
+  // task). absorb_kv keeps a page it could not spill resident (over budget,
+  // never lost), so a spill error degrades instead of losing data.
+  for (int p = 0; p < p0_; ++p) {
+    mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
+    if (part.empty()) continue;
+    if (auto s = map_store(st, stage, p).absorb_kv(std::move(part)); !s.ok()) {
+      FTMR_WARN << "rank " << world_.global_rank() << " map output for "
+                << "partition " << p
+                << " spill degraded to resident: " << s.to_string();
     }
-    tp.parts.clear();
-    tp.parts.shrink_to_fit();
   }
+  tp.parts.clear();
+  tp.parts.shrink_to_fit();
   tp.done = true;
   master_->on_task_done(task, tp.pos, 0);
   master_->observe(map_bytes_done_, wc_.now());
@@ -318,13 +309,11 @@ Status FtJob::map_phase(const StageFns& fns, bool kv_input, int stage,
       return s;
     }
   }
-  if (out_of_core()) {
-    double spill_io = 0.0;
-    for (auto& [p, store] : st.map_spill) spill_io += store.take_io_seconds();
-    if (spill_io > 0.0) {
-      wc_.compute(spill_io);
-      charge_cost("io_wait", spill_io);
-    }
+  double spill_io = 0.0;
+  for (auto& [p, store] : st.map_stores) spill_io += store.take_io_seconds();
+  if (spill_io > 0.0) {
+    wc_.compute(spill_io);
+    charge_cost("io_wait", spill_io);
   }
   ckpt_->drain(wc_);
   if (auto s = check(master_->exchange_now()); !s.ok()) return s;
@@ -353,31 +342,6 @@ Bytes encode_blocks(const std::vector<std::pair<int, const mr::KvBuffer*>>& bloc
   }
   return std::move(w).take();
 }
-
-Status decode_blocks(std::span<const std::byte> data,
-                     std::map<int, mr::KvBuffer>& into, bool replace,
-                     size_t* pairs_out = nullptr) {
-  if (data.empty()) return Status::Ok();
-  ByteReader r(data);
-  uint32_t n = 0;
-  if (auto s = r.get(n); !s.ok()) return s;
-  for (uint32_t i = 0; i < n; ++i) {
-    int32_t p = 0;
-    Bytes blob;
-    if (auto s = r.get(p); !s.ok()) return s;
-    if (auto s = r.get_blob(blob); !s.ok()) return s;
-    mr::KvBuffer kv;
-    if (auto s = kv.adopt(std::move(blob)); !s.ok()) return s;
-    if (pairs_out) *pairs_out += kv.size();
-    if (replace) into[p].clear();
-    into[p].absorb(std::move(kv));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-namespace {
 
 /// Apply a combiner to a KV block: group by key (deterministic order) and
 /// feed each group through the combine function.
@@ -412,90 +376,17 @@ Status FtJob::route_blocks(const std::map<int, mr::KvBuffer>& blocks,
   return Status::Ok();
 }
 
-Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
-  const double t0 = wc_.now();
-  // One outgoing block per non-empty partition, merged across this rank's
-  // map tasks in task order.
-  std::map<int, mr::KvBuffer> merged;
-  for (auto& [task, tp] : st.tasks) {
-    (void)task;
-    for (size_t p = 0; p < tp.parts.size(); ++p) {
-      if (!tp.parts[p].empty()) merged[static_cast<int>(p)].merge_from(tp.parts[p]);
-    }
-  }
-  size_t sent = 0;
-  for (auto& [p, kv] : merged) {
-    if (fns.combine) {
-      // Local pre-aggregation before the wire: shrink each outgoing block.
-      const size_t before = kv.bytes();
-      kv = combine_block(kv, fns);
-      if (before > kv.bytes()) {
-        times_.charge("combine_saved_bytes",
-                      static_cast<double>(before - kv.bytes()));
-      }
-    }
-    sent += kv.size();
-  }
-  std::vector<Bytes> send;
-  if (auto s = route_blocks(merged, "partition owner died before shuffle", send);
-      !s.ok()) {
-    return s;
-  }
-  mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), sent);
-  trace_.span("shuffle.census", "shuffle", t0, wc_.now());
-
-  const double a0 = wc_.now();
-  std::vector<Bytes> recv;
-  if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
-  trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  const double d0 = wc_.now();
-  // Every owned partition gets an entry, received data or not: each one's
-  // checkpoint is written below, and CR restart priming claims
-  // shuffle-done only when every owned partition's checkpoint is present.
-  const int me = world_.global_rank();
-  for (int p = 0; p < p0_; ++p) {
-    if (part_owner_[static_cast<size_t>(p)] == me) st.my_partitions.try_emplace(p);
-  }
-  size_t received = 0;
-  for (const Bytes& b : recv) {
-    if (auto s = decode_blocks(b, st.my_partitions, /*replace=*/false, &received);
-        !s.ok()) {
-      return s;
-    }
-  }
-  mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(), received);
-  trace_.span("shuffle.adopt", "shuffle", d0, wc_.now());
-
-  // Partition checkpoints make the shuffle result durable: a work-conserving
-  // resume after a reduce-phase failure reads exactly these.
-  if (opts_.ckpt.enabled) {
-    const double c0 = wc_.now();
-    for (const auto& [p, kv] : st.my_partitions) {
-      if (auto s = check(ckpt_->partition_ckpt(wc_, stage, p, kv)); !s.ok()) return s;
-    }
-    ckpt_->drain(wc_);
-    charge_span("ckpt", c0);
-  }
-  st.phase = kPhaseShuffleDone;
-  if (auto s = check(wc_.barrier()); !s.ok()) return s;
-  charge_span("shuffle", t0);
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// out-of-core mode (opts_.memory_budget > 0)
-//
-// The same phases, but intermediate KV/KMV data lives in spill-backed
-// buffers: completed map tasks move their partitioned output into paged
-// stores, the shuffle exchanges budget-bounded rounds of pages, partition
-// checkpoints stream page-by-page, and convert/reduce stream the spillable
-// KMV result. Peak residency stays O(memory_budget) however large the
-// dataset (see DESIGN.md "Out-of-core KV").
-// ---------------------------------------------------------------------------
+// Intermediate KV/KMV data lives in spillable buffers: completed map tasks
+// move their partitioned output into paged stores, the shuffle exchanges
+// rounds of pages, partition checkpoints follow the stores, and
+// convert/reduce stream the spillable KMV result. With a memory budget,
+// peak residency stays O(memory_budget) however large the dataset (see
+// DESIGN.md "Out-of-core KV"); without one (memory_budget == 0) nothing
+// spills and the shuffle is a single exchange.
 
 mr::SpillConfig FtJob::spill_config(int stage, std::string_view what) const {
   mr::SpillConfig cfg;
-  if (!out_of_core()) return cfg;  // disabled: buffers stay in-core
+  if (opts_.memory_budget == 0 || fs_ == nullptr) return cfg;  // never spills
   cfg.fs = fs_;
   cfg.node = node();
   cfg.dir = opts_.spill_dir + "/r" + std::to_string(world_.global_rank()) +
@@ -510,9 +401,9 @@ mr::SpillConfig FtJob::spill_config(int stage, std::string_view what) const {
 }
 
 mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
-  auto it = st.map_spill.find(p);
-  if (it == st.map_spill.end()) {
-    it = st.map_spill
+  auto it = st.map_stores.find(p);
+  if (it == st.map_stores.end()) {
+    it = st.map_stores
              .emplace(p, mr::SpillableKvBuffer(
                              spill_config(stage, "map")
                                  .share(static_cast<size_t>(p0_))
@@ -523,21 +414,24 @@ mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
 }
 
 mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) {
-  auto it = st.my_partitions_spill.find(p);
-  if (it == st.my_partitions_spill.end()) {
-    size_t owned = 0;
-    const int me = world_.global_rank();
-    for (int q = 0; q < p0_; ++q) {
-      if (part_owner_[static_cast<size_t>(q)] == me) owned++;
-    }
-    it = st.my_partitions_spill
+  auto it = st.partition_stores.find(p);
+  if (it == st.partition_stores.end()) {
+    it = st.partition_stores
              .emplace(p, mr::SpillableKvBuffer(
                              spill_config(stage, "part")
-                                 .share(std::max<size_t>(1, owned))
+                                 .share(std::max<size_t>(1, owned_parts_))
                                  .sub("p" + std::to_string(p))))
              .first;
   }
   return it->second;
+}
+
+void FtJob::adopt_partition(StageState& st, int stage, int p, mr::KvBuffer&& kv) {
+  st.partition_stores.erase(p);
+  if (auto s = partition_store(st, stage, p).absorb_kv(std::move(kv)); !s.ok()) {
+    FTMR_WARN << "rank " << world_.global_rank() << " recovered partition " << p
+              << " spill degraded to resident: " << s.to_string();
+  }
 }
 
 Status FtJob::absorb_shuffle_blocks(StageState& st, int stage, const Bytes& recv,
@@ -566,36 +460,33 @@ Status FtJob::absorb_shuffle_blocks(StageState& st, int stage, const Bytes& recv
   return Status::Ok();
 }
 
-Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
-                                  StageState& st) {
+Status FtJob::shuffle_phase(const StageFns& fns, int stage, StageState& st) {
   const double t0 = wc_.now();
-  for (int p = 0; p < p0_; ++p) {
-    if (owner_rel(p) < 0) {
-      return check({ErrorCode::kProcFailed, "partition owner died before shuffle"});
-    }
-  }
   // A failure mid-exchange re-enters here with partial receives absorbed.
-  // The send side reads map_spill non-destructively, so dropping the
-  // receive stores makes re-entry idempotent — the in-core path cannot do
-  // this (its sends alias tp.parts, retained either way) and tolerates a
-  // narrow duplication window instead.
-  st.my_partitions_spill.clear();
+  // The send side reads the map stores non-destructively, so dropping the
+  // receive stores makes re-entry idempotent.
+  st.partition_stores.clear();
 
-  // Budget-bounded rounds: each round assembles at most round_budget bytes
-  // of outgoing pages from the per-partition cursors, combines, exchanges,
-  // absorbs into paged stores, and the ranks agree (max-reduce) on whether
-  // anyone still holds unsent pages. The round is sized with the clamped
-  // page the map stores use: the raw spill_page_bytes (1 MiB by default)
-  // can exceed the whole budget, and one round would carry the dataset.
+  // Rounds: each assembles at most round_budget bytes of outgoing pages
+  // from the per-partition cursors, combines, exchanges, and absorbs into
+  // the partition stores. Unbounded (no budget), one round carries
+  // everything. Under a budget, the ranks agree (max-reduce) after each
+  // round on whether anyone still holds unsent pages, and the round is
+  // sized with the clamped page the map stores use: the raw
+  // spill_page_bytes (1 MiB by default) can exceed the whole budget, and
+  // one round would carry the dataset.
+  const mr::SpillConfig map_cfg = spill_config(stage, "map");
   const size_t round_budget =
-      std::max(spill_config(stage, "map").page_bytes, opts_.memory_budget / 2);
+      map_cfg.enabled()
+          ? std::max(map_cfg.page_bytes, opts_.memory_budget / 2)
+          : std::numeric_limits<size_t>::max();
   std::map<int, size_t> cursor;  // partition -> next unsent page
   size_t received_total = 0;
   for (;;) {
     const double c0 = wc_.now();
     std::map<int, mr::KvBuffer> chunks;
     size_t assembled = 0;
-    for (auto& [p, store] : st.map_spill) {
+    for (auto& [p, store] : st.map_stores) {
       size_t& cur = cursor[p];
       const size_t npages = store.page_count();
       mr::KvBuffer page;
@@ -625,9 +516,9 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
         !s.ok()) {
       return s;
     }
-    for (auto& [p, kv] : chunks) {
-      mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), kv.size());
-    }
+    size_t sent = 0;
+    for (const auto& [p, kv] : chunks) sent += kv.size();
+    mr::tap_records(mr::kTapShuffleSent, world_.global_rank(), sent);
     trace_.span("shuffle.census", "shuffle", c0, wc_.now());
 
     const double a0 = wc_.now();
@@ -642,8 +533,9 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
     }
     trace_.span("shuffle.adopt", "shuffle", d0, wc_.now());
 
+    if (!map_cfg.enabled()) break;
     int64_t more = 0;
-    for (auto& [p, store] : st.map_spill) {
+    for (auto& [p, store] : st.map_stores) {
       if (cursor[p] < store.page_count()) {
         more = 1;
         break;
@@ -658,22 +550,24 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
   }
   mr::tap_records(mr::kTapShuffleReceived, world_.global_rank(), received_total);
   double spill_io = 0.0;
-  for (auto& [p, store] : st.map_spill) spill_io += store.take_io_seconds();
-  for (auto& [p, store] : st.my_partitions_spill) {
+  for (auto& [p, store] : st.map_stores) spill_io += store.take_io_seconds();
+  for (auto& [p, store] : st.partition_stores) {
     spill_io += store.take_io_seconds();
   }
   if (spill_io > 0.0) wc_.compute(spill_io);
 
-  // Streamed partition checkpoints for every owned partition — including
-  // ones that received nothing: restart priming claims shuffle-done only
-  // when each owned partition's checkpoint is present.
+  // Partition checkpoints make the shuffle result durable (a work-conserving
+  // resume after a reduce-phase failure reads exactly these), for every
+  // owned partition — including ones that received nothing: restart
+  // priming claims shuffle-done only when each owned partition's checkpoint
+  // is present.
   if (opts_.ckpt.enabled) {
     const double c0 = wc_.now();
     const int me = world_.global_rank();
     for (int p = 0; p < p0_; ++p) {
       if (part_owner_[static_cast<size_t>(p)] != me) continue;
-      if (auto s = check(ckpt_->partition_ckpt_paged(
-              wc_, stage, p, partition_store(st, stage, p)));
+      if (auto s = check(ckpt_->partition_ckpt(wc_, stage, p,
+                                               partition_store(st, stage, p)));
           !s.ok()) {
         return s;
       }
@@ -685,25 +579,26 @@ Status FtJob::shuffle_phase_paged(const StageFns& fns, int stage,
   // Sender-side stores are only needed again by the detect/resume orphan
   // rebuild; the other modes never rebuild, so their pages free now.
   if (opts_.mode == FtMode::kNone || opts_.mode == FtMode::kCheckpointRestart) {
-    st.map_spill.clear();
+    st.map_stores.clear();
   }
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
   charge_span("shuffle", t0);
   return Status::Ok();
 }
 
-Status FtJob::rebuild_orphans_paged(const StageFns& fns, int stage,
-                                    StageState& st,
-                                    const std::vector<int>& missing) {
+Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
+                                        StageState& st,
+                                        const std::vector<int>& missing) {
   const double t0 = wc_.now();
-  // Stream the retained (and patch-up re-executed) map outputs of the
-  // orphaned partitions back out of the paged stores. Orphans are a small
-  // subset of P0, so materializing just their blocks matches the in-core
-  // rebuild's residency.
+  // Survivors re-exchange only the orphaned partitions, streamed out of
+  // their retained (and patch-up re-executed) map stores. `missing` is the
+  // allgathered union, so every rank participates in the same exchange.
+  // Orphans are a small subset of P0, so materializing just their blocks
+  // keeps residency near the budget.
   std::map<int, mr::KvBuffer> merged;
   for (int p : missing) {
-    auto it = st.map_spill.find(p);
-    if (it == st.map_spill.end()) continue;
+    auto it = st.map_stores.find(p);
+    if (it == st.map_stores.end()) continue;
     if (auto s = it->second.for_each_page([&](const mr::KvBuffer& page) {
           merged[p].merge_from(page);
           return Status::Ok();
@@ -723,23 +618,23 @@ Status FtJob::rebuild_orphans_paged(const StageFns& fns, int stage,
   std::vector<Bytes> recv;
   if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
   trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  std::map<int, mr::KvBuffer> rebuilt = owned_orphans(missing);
-  for (const Bytes& b : recv) {
-    if (auto s = decode_blocks(b, rebuilt, /*replace=*/false); !s.ok()) return s;
+  // Replace each owned orphan — idempotent under retry — and restart its
+  // reduce. Every one is re-checkpointed, even when no survivor held data
+  // for it.
+  std::vector<int> rebuilt;
+  for (int p : missing) {
+    if (part_owner_[static_cast<size_t>(p)] != world_.global_rank()) continue;
+    st.partition_stores.erase(p);
+    st.reduce.erase(p);
+    rebuilt.push_back(p);
   }
-  for (auto& [p, kv] : rebuilt) {
-    st.my_partitions_spill.erase(p);  // replace: idempotent under retry
-    st.reduce.erase(p);               // restart this partition's reduce
-    if (auto s = partition_store(st, stage, p).absorb_kv(std::move(kv)); !s.ok()) {
-      FTMR_WARN << "rank " << world_.global_rank() << " rebuilt partition " << p
-                << " spill degraded to resident: " << s.to_string();
-    }
+  for (const Bytes& b : recv) {
+    if (auto s = absorb_shuffle_blocks(st, stage, b, nullptr); !s.ok()) return s;
   }
   if (opts_.ckpt.enabled) {
-    for (const auto& [p, kv] : rebuilt) {
-      (void)kv;
-      if (auto s = check(ckpt_->partition_ckpt_paged(
-              wc_, stage, p, partition_store(st, stage, p)));
+    for (int p : rebuilt) {
+      if (auto s = check(ckpt_->partition_ckpt(wc_, stage, p,
+                                               partition_store(st, stage, p)));
           !s.ok()) {
         return s;
       }
@@ -747,58 +642,11 @@ Status FtJob::rebuild_orphans_paged(const StageFns& fns, int stage,
     ckpt_->drain(wc_);
   }
   double spill_io = 0.0;
-  for (auto& [p, store] : st.map_spill) spill_io += store.take_io_seconds();
-  for (auto& [p, store] : st.my_partitions_spill) {
+  for (auto& [p, store] : st.map_stores) spill_io += store.take_io_seconds();
+  for (auto& [p, store] : st.partition_stores) {
     spill_io += store.take_io_seconds();
   }
   if (spill_io > 0.0) wc_.compute(spill_io);
-  st.partitions_missing.clear();
-  if (auto s = check(wc_.barrier()); !s.ok()) return s;
-  charge_span("recovery", t0);
-  return Status::Ok();
-}
-
-Status FtJob::rebuild_orphan_partitions(const StageFns& fns, int stage,
-                                        StageState& st,
-                                        const std::vector<int>& missing) {
-  const double t0 = wc_.now();
-  // Survivors re-exchange only the orphaned partitions, rebuilt from their
-  // retained (and patch-up re-executed) map outputs. `missing` is the
-  // allgathered union, so every rank participates in the same exchange.
-  std::map<int, mr::KvBuffer> merged;
-  for (auto& [task, tp] : st.tasks) {
-    (void)task;
-    if (tp.parts.empty()) continue;
-    for (int p : missing) {
-      const mr::KvBuffer& part = tp.parts[static_cast<size_t>(p)];
-      if (!part.empty()) merged[p].merge_from(part);
-    }
-  }
-  if (fns.combine) {
-    for (auto& [p, kv] : merged) kv = combine_block(kv, fns);
-  }
-  std::vector<Bytes> send;
-  if (auto s = route_blocks(merged, "orphan partition owner died", send); !s.ok()) {
-    return s;
-  }
-  const double a0 = wc_.now();
-  std::vector<Bytes> recv;
-  if (auto s = check(wc_.alltoall(send, recv)); !s.ok()) return s;
-  trace_.span("shuffle.alltoall", "shuffle", a0, wc_.now());
-  std::map<int, mr::KvBuffer> rebuilt = owned_orphans(missing);
-  for (const Bytes& b : recv) {
-    if (auto s = decode_blocks(b, rebuilt, /*replace=*/false); !s.ok()) return s;
-  }
-  for (auto& [p, kv] : rebuilt) {
-    st.my_partitions[p] = std::move(kv);  // replace: idempotent under retry
-    st.reduce.erase(p);                   // restart this partition's reduce
-  }
-  if (opts_.ckpt.enabled) {
-    for (const auto& [p, kv] : rebuilt) {
-      if (auto s = check(ckpt_->partition_ckpt(wc_, stage, p, kv)); !s.ok()) return s;
-    }
-    ckpt_->drain(wc_);
-  }
   st.partitions_missing.clear();
   if (auto s = check(wc_.barrier()); !s.ok()) return s;
   charge_span("recovery", t0);
@@ -854,10 +702,10 @@ Status FtJob::finish_reduce_partition(int stage, StageState& st, int p,
     rp.pending_delta.clear();
     rp.last_ckpt_entries = rp.entries_done;
   }
-  if (rp.kmv_spill) {
-    const double kmv_io = rp.kmv_spill->take_io_seconds();
+  if (rp.kmv) {
+    const double kmv_io = rp.kmv->take_io_seconds();
     if (kmv_io > 0.0) wc_.compute(kmv_io);
-    rp.kmv_spill.reset();
+    rp.kmv.reset();
   }
   rp.done = true;
   st.outputs[p] = rp.out;
@@ -867,99 +715,58 @@ Status FtJob::finish_reduce_partition(int stage, StageState& st, int p,
   return Status::Ok();
 }
 
-Status FtJob::reduce_partition_spill(const StageFns& fns, int stage,
-                                     StageState& st, int p,
-                                     ReduceProgress& rp) {
-  const double reduce_cost = current_reduce_cost(fns);
-  if (!rp.kmv_spill) {
-    // Spill-aware KV→KMV conversion: consumes the partition store page by
-    // page into a spillable KMV result. Entry order matches the in-core
-    // convert_2pass + sort_by_key (the buckets' k-way merge restores global
-    // key order), so the reduce-entry cursor stays a valid recovery
-    // position across modes.
-    const double m0 = wc_.now();
-    auto kmv = std::make_unique<mr::SpillableKmvBuffer>(
-        spill_config(stage, "kmv_p" + std::to_string(p)));
-    mr::ConvertStats cst;
-    mr::SpillableKvBuffer& in = partition_store(st, stage, p);
-    if (auto s = mr::convert_2pass_spill(
-            in, *kmv, spill_config(stage, "cvt_p" + std::to_string(p)), &cst,
-            opts_.convert_segment_bytes);
-        !s.ok()) {
-      return s;
-    }
-    double convert_io =
-        fs_->cost_of(storage::Tier::kLocal, cst.bytes_moved, cst.passes);
-    convert_io += cst.spill_io_seconds;
-    convert_io += in.take_io_seconds() + kmv->take_io_seconds();
-    wc_.compute(convert_io);
-    st.my_partitions_spill.erase(p);  // consumed by the convert
-    rp.kmv_spill = std::move(kmv);
-    charge_span("merge", m0);
-  }
-
-  if (rp.entries_done > 0) {
-    wc_.compute(static_cast<double>(rp.entries_done) * opts_.skip_cost_per_record);
-  }
-  // The same Algorithm-1 reduce loop as in-core, driven by the streamed
-  // k-way merge. check() may throw FailureDetected out of the stream;
-  // rp.kmv_spill survives in the stage state, so re-entry resumes at the
-  // committed entry cursor without re-converting.
-  mr::KvBuffer emitted;
-  if (auto s = rp.kmv_spill->for_each_entry(
-          rp.entries_done,
-          [&](std::string_view key,
-              std::span<const std::string_view> values) -> Status {
-            return reduce_entry(fns, stage, p, rp, key, values, reduce_cost,
-                                emitted);
-          });
-      !s.ok()) {
-    return s;
-  }
-  return finish_reduce_partition(stage, st, p, rp);
-}
-
 Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
   const double t0 = wc_.now();
   const double reduce_cost = current_reduce_cost(fns);
   const int me = world_.global_rank();
+  mr::KvBuffer emitted;
   for (int p = 0; p < p0_; ++p) {
     if (part_owner_[static_cast<size_t>(p)] != me) continue;
     ReduceProgress& rp = st.reduce[p];
     if (rp.done) continue;
-    if (out_of_core()) {
-      if (auto s = reduce_partition_spill(fns, stage, st, p, rp); !s.ok()) {
+    if (!rp.kmv) {
+      // KV→KMV conversion (the "merge" of Fig. 10): consumes the partition
+      // store page by page into a spillable KMV result. Entry order is
+      // global key order whatever the budget (the buckets' k-way merge
+      // restores it), so the reduce-entry cursor is a valid recovery
+      // position.
+      const double m0 = wc_.now();
+      auto kmv = std::make_unique<mr::SpillableKmvBuffer>(
+          spill_config(stage, "kmv_p" + std::to_string(p)));
+      mr::ConvertStats cst;
+      mr::SpillableKvBuffer& in = partition_store(st, stage, p);
+      if (auto s = mr::convert_2pass_spill(
+              in, *kmv, spill_config(stage, "cvt_p" + std::to_string(p)), &cst,
+              opts_.convert_segment_bytes, opts_.two_pass_convert);
+          !s.ok()) {
         return s;
       }
-      continue;
+      double convert_io =
+          fs_->cost_of(storage::Tier::kLocal, cst.bytes_moved, cst.passes);
+      convert_io += cst.spill_io_seconds;
+      convert_io += in.take_io_seconds() + kmv->take_io_seconds();
+      wc_.compute(convert_io);
+      st.partition_stores.erase(p);  // consumed by the convert
+      rp.kmv = std::move(kmv);
+      charge_span("merge", m0);
     }
-
-    // KV→KMV conversion (the "merge" of Fig. 10); deterministic key order
-    // makes the reduce-entry cursor a valid recovery position.
-    const double m0 = wc_.now();
-    mr::ConvertStats cst;
-    const mr::KmvBuffer kmv =
-        opts_.two_pass_convert
-            ? mr::convert_2pass(st.my_partitions[p], &cst,
-                                opts_.convert_segment_bytes)
-            : mr::convert_4pass(st.my_partitions[p], &cst);
-    const double convert_io =
-        fs_->cost_of(storage::Tier::kLocal, cst.bytes_moved, cst.passes);
-    wc_.compute(convert_io);
-    charge_span("merge", m0);
 
     if (rp.entries_done > 0) {
       wc_.compute(static_cast<double>(rp.entries_done) * opts_.skip_cost_per_record);
     }
-    mr::KvBuffer emitted;
-    std::vector<std::string_view> vscratch;
-    for (size_t i = rp.entries_done; i < kmv.size(); ++i) {
-      kmv.values_of(i, vscratch);
-      if (auto s = reduce_entry(fns, stage, p, rp, kmv.entry(i).key(), vscratch,
-                                reduce_cost, emitted);
-          !s.ok()) {
-        return s;
-      }
+    // The Algorithm-1 reduce loop, driven by the streamed KMV. check() may
+    // throw FailureDetected out of the stream; rp.kmv survives in the stage
+    // state, so re-entry resumes at the committed entry cursor without
+    // re-converting.
+    if (auto s = rp.kmv->for_each_entry(
+            rp.entries_done,
+            [&](std::string_view key,
+                std::span<const std::string_view> values) -> Status {
+              return reduce_entry(fns, stage, p, rp, key, values, reduce_cost,
+                                  emitted);
+            });
+        !s.ok()) {
+      return s;
     }
     if (auto s = finish_reduce_partition(stage, st, p, rp); !s.ok()) return s;
   }
@@ -991,11 +798,7 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
   if (st.phase != kPhaseDone) {
     if (st.phase == kPhaseMap) {
       if (auto s = map_phase(fns, kv_input, stage, st); !s.ok()) return s;
-      if (auto s = out_of_core() ? shuffle_phase_paged(fns, stage, st)
-                                 : shuffle_phase(fns, stage, st);
-          !s.ok()) {
-        return s;
-      }
+      if (auto s = shuffle_phase(fns, stage, st); !s.ok()) return s;
     }
     // Agree on the orphan-rebuild set: a work-conserving fallback may mark
     // a partition missing on the inheriting rank only, but the rebuild is a
@@ -1031,9 +834,7 @@ Status FtJob::run_stage(const StageFns& fns, bool kv_input, mr::KvBuffer* output
           }
         }
         std::vector<int> missing(union_missing.begin(), union_missing.end());
-        if (auto s = out_of_core()
-                         ? rebuild_orphans_paged(fns, stage, st, missing)
-                         : rebuild_orphan_partitions(fns, stage, st, missing);
+        if (auto s = rebuild_orphan_partitions(fns, stage, st, missing);
             !s.ok()) {
           return s;
         }
@@ -1212,6 +1013,8 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
       part_owner_[static_cast<size_t>(orphan_parts[i])] =
           wc_.global_of_rel(owner[i]);
     }
+    owned_parts_ = static_cast<size_t>(
+        std::count(part_owner_.begin(), part_owner_.end(), world_.global_rank()));
   }
 
   // --- Reassign the dead ranks' file tasks. ---
@@ -1393,18 +1196,7 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
             }
             continue;
           }
-          if (out_of_core()) {
-            st.my_partitions_spill.erase(p);
-            if (auto as = partition_store(st, sid, p)
-                              .absorb_kv(std::move(pit->second));
-                !as.ok()) {
-              FTMR_WARN << "rank " << world_.global_rank()
-                        << " adopted partition " << p
-                        << " spill degraded to resident: " << as.to_string();
-            }
-          } else {
-            st.my_partitions[p] = std::move(pit->second);
-          }
+          adopt_partition(st, sid, p, std::move(pit->second));
           auto rrit = rec.reduce.find(p);
           if (rrit != rec.reduce.end()) {
             ReduceProgress& rp = st.reduce[p];
@@ -1514,16 +1306,7 @@ void FtJob::prime_from_own_checkpoints() {
     }
     if (st.phase >= kPhaseShuffleDone) {
       for (auto& [p, kv] : rec.partitions) {
-        if (out_of_core()) {
-          st.my_partitions_spill.erase(p);
-          if (auto as = partition_store(st, sid, p).absorb_kv(std::move(kv));
-              !as.ok()) {
-            FTMR_WARN << "rank " << world_.global_rank() << " primed partition "
-                      << p << " spill degraded to resident: " << as.to_string();
-          }
-        } else {
-          st.my_partitions[p] = std::move(kv);
-        }
+        adopt_partition(st, sid, p, std::move(kv));
       }
       for (auto& [p, rrec] : rec.reduce) {
         ReduceProgress& rp = st.reduce[p];

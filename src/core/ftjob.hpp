@@ -94,13 +94,15 @@ struct FtJobOptions {
   /// output buffer's arena and are valid only for the duration of the call.
   std::function<void(std::string_view key, std::string_view value,
                      std::string& sink)> output_writer;
-  /// Per-rank byte budget for intermediate KV/KMV residency; 0 = in-core
-  /// (the historical behaviour). When set, map output, shuffle-received
-  /// partitions, and the convert result live in spill-backed buffers under
-  /// `spill_dir`, the shuffle exchanges data in budget-bounded rounds, and
-  /// shuffle-end partition checkpoints stream page-by-page — peak residency
-  /// stays O(budget) however large the dataset. See DESIGN.md "Out-of-core
-  /// KV".
+  /// Per-rank byte budget for intermediate KV/KMV residency. Map output,
+  /// shuffle-received partitions and the convert result always live in
+  /// spillable buffers; this budget decides whether they ever spill.
+  /// 0 = unbounded (in-core): nothing spills, the shuffle is one exchange
+  /// and partition checkpoints are written whole. When set, pages beyond
+  /// the budget spill under `spill_dir`, the shuffle exchanges data in
+  /// budget-bounded rounds, and partition checkpoints stream page by page —
+  /// peak residency stays O(budget) however large the dataset. See
+  /// DESIGN.md "Out-of-core KV".
   size_t memory_budget = 0;
   /// Scratch namespace on the node-local tier for spill pages.
   std::string spill_dir = "spill";
@@ -244,7 +246,9 @@ class FtJob {
     bool done = false;
     bool rerun_from_scratch = false;  // NWC-recovered task
     mr::KvBuffer pending_delta;  // emitted since the last checkpoint
-    std::vector<mr::KvBuffer> parts;  // emitted KV, partitioned (P0)
+    /// Emitted KV of the task still running, partitioned (P0); moved into
+    /// the stage's map stores when the task completes.
+    std::vector<mr::KvBuffer> parts;
   };
 
   struct ReduceProgress {
@@ -253,9 +257,9 @@ class FtJob {
     bool done = false;
     mr::KvBuffer out;
     mr::KvBuffer pending_delta;
-    /// Budget mode: the partition's convert result, streamed into reduce
-    /// (survives a FailureDetected unwind so re-entry resumes mid-stream).
-    std::unique_ptr<mr::SpillableKmvBuffer> kmv_spill;
+    /// The partition's convert result, streamed into reduce (survives a
+    /// FailureDetected unwind so re-entry resumes mid-stream).
+    std::unique_ptr<mr::SpillableKmvBuffer> kmv;
   };
 
   struct StageState {
@@ -265,15 +269,14 @@ class FtJob {
     // progress in the right space (set by run_stage on every entry).
     bool kv_input = false;
     std::map<uint64_t, TaskProgress> tasks;
-    std::map<int, mr::KvBuffer> my_partitions;  // shuffle-received, per owned p
     std::set<int> partitions_missing;  // orphans needing NWC rebuild
     std::map<int, ReduceProgress> reduce;
     std::map<int, mr::KvBuffer> outputs;  // reduce output per owned partition
-    // Budget mode twins of tasks[].parts and my_partitions: completed map
-    // tasks move their partitioned output here (paged, spillable), and the
-    // paged shuffle absorbs receives here. Empty when out_of_core() is off.
-    std::map<int, mr::SpillableKvBuffer> map_spill;        // by partition
-    std::map<int, mr::SpillableKvBuffer> my_partitions_spill;  // by owned p
+    // Completed map tasks move their partitioned output here (the send side
+    // of the shuffle and of the orphan rebuild), and the shuffle absorbs
+    // receives here; convert consumes a partition's store.
+    std::map<int, mr::SpillableKvBuffer> map_stores;        // by partition
+    std::map<int, mr::SpillableKvBuffer> partition_stores;  // by owned p
   };
 
   // -- helpers --
@@ -288,31 +291,32 @@ class FtJob {
   Status map_phase(const StageFns& fns, bool kv_input, int stage, StageState& st);
   Status run_one_map_task(const StageFns& fns, bool kv_input, int stage,
                           StageState& st, uint64_t task);
+  /// Exchange the map stores: rounds of at most half the budget of pages
+  /// (one round when the budget is unbounded), absorbed into the partition
+  /// stores, then checkpointed.
   Status shuffle_phase(const StageFns& fns, int stage, StageState& st);
+  /// Re-exchange the `missing` partitions from the survivors' map stores
+  /// and replace (and re-checkpoint) the owned ones.
   Status rebuild_orphan_partitions(const StageFns& fns, int stage,
                                    StageState& st,
                                    const std::vector<int>& missing);
   Status reduce_phase(const StageFns& fns, int stage, StageState& st);
-  /// One Algorithm-1 reduce step of partition p, shared by the in-core and
-  /// the streamed reduce loops: reduce the key group into `emitted` (reused
-  /// scratch), commit it, checkpoint at the record interval, and poll for
-  /// failures.
+  /// One Algorithm-1 reduce step of partition p: reduce the key group into
+  /// `emitted` (reused scratch), commit it, checkpoint at the record
+  /// interval, and poll for failures.
   Status reduce_entry(const StageFns& fns, int stage, int p, ReduceProgress& rp,
                       std::string_view key,
                       std::span<const std::string_view> values,
                       double reduce_cost, mr::KvBuffer& emitted);
   /// Close partition p's reduce: flush the checkpoint tail, charge the
-  /// streamed KMV's spill I/O (budget mode), publish the output and
-  /// checkpoint it.
+  /// streamed KMV's spill I/O, publish the output and checkpoint it.
   Status finish_reduce_partition(int stage, StageState& st, int p,
                                  ReduceProgress& rp);
-  // -- out-of-core (memory_budget > 0) --
-  [[nodiscard]] bool out_of_core() const noexcept {
-    return opts_.memory_budget > 0 && fs_ != nullptr;
-  }
+  // -- spillable stores --
   /// Spill namespace for one component of one stage on this rank; the
   /// per-rank budget is split evenly between the KV side (map output or
-  /// received partitions) and the convert/KMV side.
+  /// received partitions) and the convert/KMV side. Disabled (nothing
+  /// spills) when memory_budget is 0.
   [[nodiscard]] mr::SpillConfig spill_config(int stage,
                                              std::string_view what) const;
   /// The stage's spill store for map-output partition p (created on first
@@ -321,16 +325,14 @@ class FtJob {
   /// The stage's spill store for owned partition p (created on first use,
   /// budget shared across this rank's owned partitions).
   mr::SpillableKvBuffer& partition_store(StageState& st, int stage, int p);
+  /// Replace owned partition p's store with a recovered partition (WC
+  /// adoption and CR priming).
+  void adopt_partition(StageState& st, int stage, int p, mr::KvBuffer&& kv);
   /// Decode an alltoall receive buffer and absorb its blocks into the
-  /// owned-partition spill stores; `pairs_received` accumulates the record
-  /// count for the shuffle tap.
+  /// owned-partition stores; `pairs_received`, if set, accumulates the
+  /// record count for the shuffle tap.
   Status absorb_shuffle_blocks(StageState& st, int stage, const Bytes& recv,
                                size_t* pairs_received);
-  Status shuffle_phase_paged(const StageFns& fns, int stage, StageState& st);
-  Status rebuild_orphans_paged(const StageFns& fns, int stage, StageState& st,
-                               const std::vector<int>& missing);
-  Status reduce_partition_spill(const StageFns& fns, int stage, StageState& st,
-                                int p, ReduceProgress& rp);
   void recover();
   void patch_state_after_shrink(const std::vector<int>& new_dead);
   Status load_dead_state_wc(int dead_rank, const std::vector<int>& my_new_tasks,
@@ -339,11 +341,6 @@ class FtJob {
   [[nodiscard]] std::vector<uint64_t> my_task_ids(int stage, bool kv_input) const;
   [[nodiscard]] std::string chunk_name(uint64_t task) const;
   [[nodiscard]] int owner_rel(int partition) const;  // rel rank on wc_
-  /// Empty rebuild targets for the `missing` partitions this rank owns: a
-  /// rebuild replaces (and re-checkpoints) each of them even when no
-  /// survivor holds data for it.
-  [[nodiscard]] std::map<int, mr::KvBuffer> owned_orphans(
-      const std::vector<int>& missing) const;
   /// Encode each non-empty (partition, block) into the alltoall send buffer
   /// of the partition's current owner. Empty blocks never reach the wire,
   /// so a destination with nothing to receive gets an empty buffer and the
@@ -376,6 +373,7 @@ class FtJob {
 
   std::vector<std::string> chunks_;        // stage-0 input chunk names
   std::vector<int> part_owner_;            // partition -> global rank
+  size_t owned_parts_ = 1;  // partitions this rank owns (recounted on change)
   std::map<uint64_t, int> task_reassign_;  // stage-0 task -> new global rank
   std::set<int> known_dead_;               // global ranks
   std::set<std::pair<int, int>> wc_loaded_;  // (dead rank, stage) already loaded

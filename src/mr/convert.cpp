@@ -145,7 +145,7 @@ KmvBuffer convert_2pass(const KvBuffer& in, ConvertStats* stats,
 
 Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
                            const SpillConfig& cfg, ConvertStats* stats,
-                           size_t segment_bytes) {
+                           size_t segment_bytes, bool two_pass) {
   ConvertStats st;
   const size_t total = in.bytes();
   size_t nbuckets = 1;
@@ -161,7 +161,8 @@ Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
     if (auto s = in.drain_to(flat); !s.ok()) return s;
     st.spill_io_seconds += in.take_io_seconds();
     ConvertStats cs;
-    KmvBuffer kmv = convert_2pass(flat, &cs, segment_bytes);
+    KmvBuffer kmv = two_pass ? convert_2pass(flat, &cs, segment_bytes)
+                             : convert_4pass(flat, &cs);
     st.bytes_moved = cs.bytes_moved;
     st.passes = cs.passes;
     st.segments = cs.segments;

@@ -62,10 +62,13 @@ KmvBuffer convert_2pass(const KvBuffer& in, ConvertStats* stats = nullptr,
 /// in exactly the global key order convert_2pass + sort_by_key produces on
 /// the undivided data — same entries, same value order. Peak residency is
 /// O(memory_budget), never O(dataset); with `cfg` disabled the whole input
-/// converts as a single in-core run.
+/// converts as a single in-core run. `two_pass = false` converts that single
+/// run with convert_4pass instead (the MR-MPI comparator of Fig. 16: same
+/// entries, twice the data movement); bucketed inputs always use the
+/// two-pass algorithm.
 Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
                            const SpillConfig& cfg,
                            ConvertStats* stats = nullptr,
-                           size_t segment_bytes = 4096);
+                           size_t segment_bytes = 4096, bool two_pass = true);
 
 }  // namespace ftmr::mr

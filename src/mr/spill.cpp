@@ -61,12 +61,14 @@ SpillableKvBuffer::SpillableKvBuffer(SpillableKvBuffer&& other) noexcept
       spill_dir_(std::move(other.spill_dir_)), page_bytes_(other.page_bytes_),
       memory_budget_(other.memory_budget_), retry_(other.retry_),
       meter_(other.meter_), metered_(other.metered_),
-      pages_(std::move(other.pages_)), open_page_(std::move(other.open_page_)),
+      pages_(std::move(other.pages_)), head_(other.head_),
+      open_page_(std::move(other.open_page_)),
       resident_bytes_(other.resident_bytes_), total_pairs_(other.total_pairs_),
       total_bytes_(other.total_bytes_), stats_(other.stats_),
       pending_io_seconds_(other.pending_io_seconds_),
       next_page_id_(other.next_page_id_) {
   other.pages_.clear();
+  other.head_ = 0;
   other.open_page_.clear();
   other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
   other.stats_ = {};
@@ -88,6 +90,7 @@ SpillableKvBuffer& SpillableKvBuffer::operator=(
   meter_ = other.meter_;
   metered_ = other.metered_;
   pages_ = std::move(other.pages_);
+  head_ = other.head_;
   open_page_ = std::move(other.open_page_);
   resident_bytes_ = other.resident_bytes_;
   total_pairs_ = other.total_pairs_;
@@ -96,6 +99,7 @@ SpillableKvBuffer& SpillableKvBuffer::operator=(
   pending_io_seconds_ = other.pending_io_seconds_;
   next_page_id_ = other.next_page_id_;
   other.pages_.clear();
+  other.head_ = 0;
   other.open_page_.clear();
   other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
   other.stats_ = {};
@@ -144,13 +148,13 @@ Status SpillableKvBuffer::append_page(KvBuffer&& page) {
 
 size_t SpillableKvBuffer::spilled_page_count() const noexcept {
   size_t n = 0;
-  for (const Page& p : pages_) n += p.on_disk ? 1 : 0;
+  for (const Page& p : live()) n += p.on_disk ? 1 : 0;
   return n;
 }
 
 SpillableKvBuffer::PageInfo SpillableKvBuffer::page_info(
     size_t i) const noexcept {
-  const Page& p = pages_[i];
+  const Page& p = live()[i];
   return {p.pairs, p.bytes, p.on_disk};
 }
 
@@ -166,9 +170,10 @@ void SpillableKvBuffer::close_open_page() {
 }
 
 Status SpillableKvBuffer::spill_oldest_resident() {
-  auto it = std::find_if(pages_.begin(), pages_.end(),
+  const std::span<Page> pages = live();
+  auto it = std::find_if(pages.begin(), pages.end(),
                          [](const Page& p) { return !p.on_disk; });
-  if (it == pages_.end()) return Status::Ok();
+  if (it == pages.end()) return Status::Ok();
   Page& p = *it;
   char name[64];
   std::snprintf(name, sizeof(name), "page_%06d", next_page_id_++);
@@ -222,9 +227,9 @@ Status SpillableKvBuffer::enforce_budget() {
   sync_meter();
   if (!can_spill() || memory_budget_ == 0) return Status::Ok();
   while (resident_bytes_ + open_page_.bytes() > memory_budget_) {
-    const bool have_resident =
-        std::any_of(pages_.begin(), pages_.end(),
-                    [](const Page& p) { return !p.on_disk; });
+    const std::span<const Page> pages = live();
+    const bool have_resident = std::any_of(
+        pages.begin(), pages.end(), [](const Page& p) { return !p.on_disk; });
     // Only closed pages spill; an open page larger than the budget closes
     // (and then spills) as soon as it reaches page_bytes.
     if (!have_resident) break;
@@ -269,7 +274,7 @@ Status SpillableKvBuffer::for_each(const std::function<void(KvView)>& fn) {
 
 Status SpillableKvBuffer::for_each_page(
     const std::function<Status(const KvBuffer&)>& fn) {
-  for (const Page& p : pages_) {
+  for (const Page& p : live()) {
     if (p.on_disk) {
       KvBuffer page;
       if (auto s = load_page(p, page); !s.ok()) return s;
@@ -284,14 +289,15 @@ Status SpillableKvBuffer::for_each_page(
 
 Status SpillableKvBuffer::read_page(size_t i, KvBuffer& out) {
   out.clear();
-  if (i < pages_.size()) {
-    const Page& p = pages_[i];
+  const std::span<const Page> pages = live();
+  if (i < pages.size()) {
+    const Page& p = pages[i];
     if (p.on_disk) return load_page(p, out);
     out.reserve_records(p.pairs, p.bytes);
     out.merge_from(p.mem);
     return Status::Ok();
   }
-  if (i == pages_.size() && !open_page_.empty()) {
+  if (i == pages.size() && !open_page_.empty()) {
     out.reserve_records(open_page_.size(), open_page_.bytes());
     out.merge_from(open_page_);
     return Status::Ok();
@@ -302,8 +308,8 @@ Status SpillableKvBuffer::read_page(size_t i, KvBuffer& out) {
 Status SpillableKvBuffer::pop_front_page(KvBuffer& out, bool& have) {
   out.clear();
   have = false;
-  if (!pages_.empty()) {
-    Page& p = pages_.front();
+  if (head_ < pages_.size()) {
+    Page& p = pages_[head_];
     if (p.on_disk) {
       if (auto s = load_page(p, out); !s.ok()) return s;  // page stays intact
       (void)storage_->remove(storage::Tier::kLocal, node_, p.path);
@@ -313,7 +319,11 @@ Status SpillableKvBuffer::pop_front_page(KvBuffer& out, bool& have) {
     }
     total_pairs_ -= p.pairs;
     total_bytes_ -= p.bytes;
-    pages_.pop_front();
+    p = Page{};
+    if (++head_ == pages_.size()) {
+      pages_.clear();
+      head_ = 0;
+    }
     have = true;
     sync_meter();
     return Status::Ok();
@@ -331,13 +341,15 @@ Status SpillableKvBuffer::pop_front_page(KvBuffer& out, bool& have) {
 
 Status SpillableKvBuffer::drain_to(KvBuffer& out) {
   out.clear();
-  const bool any_disk = std::any_of(pages_.begin(), pages_.end(),
+  const std::span<Page> pages = live();
+  const bool any_disk = std::any_of(pages.begin(), pages.end(),
                                     [](const Page& p) { return p.on_disk; });
   if (!any_disk) {
     // Nothing can fail: move every page (and splice the rest) wholesale.
-    for (Page& p : pages_) out.absorb(std::move(p.mem));
+    for (Page& p : pages) out.absorb(std::move(p.mem));
     out.absorb(std::move(open_page_));
     pages_.clear();
+    head_ = 0;
     resident_bytes_ = total_pairs_ = total_bytes_ = 0;
     sync_meter();
     return Status::Ok();
@@ -347,7 +359,7 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
   // page — including the already-copied prefix — stays intact and
   // re-readable (spill files are only deleted by the success path below).
   out.reserve_records(total_pairs_, total_bytes_);
-  for (const Page& p : pages_) {
+  for (const Page& p : pages) {
     if (p.on_disk) {
       KvBuffer page;
       if (auto s = load_page(p, page); !s.ok()) {
@@ -366,7 +378,7 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
 Status SpillableKvBuffer::clear() {
   Status first;
   if (storage_ != nullptr) {
-    for (const Page& p : pages_) {
+    for (const Page& p : live()) {
       if (!p.on_disk) continue;
       if (auto s = storage_->remove(storage::Tier::kLocal, node_, p.path);
           !s.ok() && first.ok()) {
@@ -375,6 +387,7 @@ Status SpillableKvBuffer::clear() {
     }
   }
   pages_.clear();
+  head_ = 0;
   open_page_.clear();
   resident_bytes_ = 0;
   total_pairs_ = 0;
@@ -517,7 +530,9 @@ Status SpillableKmvBuffer::add_run(KmvBuffer&& run) {
   auto flush = [&](KmvBuffer&& chunk) {
     if (auto s = append_page(std::move(chunk)); !s.ok() && first.ok()) first = s;
   };
-  if (run.bytes() <= page_bytes_) {
+  if (run.bytes() <= page_bytes_ || storage_ == nullptr) {
+    // Pages only bound what may spill: an in-memory buffer keeps a run
+    // whole instead of copying it into page-sized chunks.
     flush(std::move(run));
   } else {
     // Split into whole-entry pages of about page_bytes each.

@@ -6,7 +6,7 @@
 // keyvalue.h paging design of the original library). The convert/merge
 // costs the paper measures come from exactly these disk-resident pages, so
 // the paging machinery is implemented and tested for real: pages genuinely
-// round-trip through the storage layer, and the hot paths (FtJob's paged
+// round-trip through the storage layer, and the hot paths (FtJob's
 // shuffle, convert_2pass_spill) stream them page by page instead of
 // re-materializing the dataset.
 //
@@ -33,9 +33,10 @@
 //     after clearing all in-memory state.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "mr/kv.hpp"
 #include "storage/copier.hpp"
@@ -118,7 +119,8 @@ class SpillableKvBuffer {
     bool on_disk = false;
   };
 
-  /// Purely in-memory buffer (no spilling, one ever-growing open page).
+  /// Purely in-memory buffer (no spilling). Constructing one allocates
+  /// nothing, so a job can keep one per partition when it runs in-core.
   SpillableKvBuffer() = default;
   /// `storage` may be null for a purely in-memory buffer (no spilling).
   SpillableKvBuffer(storage::StorageSystem* storage, int node,
@@ -155,7 +157,7 @@ class SpillableKvBuffer {
 
   /// Closed pages plus the open page (if non-empty).
   [[nodiscard]] size_t page_count() const noexcept {
-    return pages_.size() + (open_page_.empty() ? 0 : 1);
+    return pages_.size() - head_ + (open_page_.empty() ? 0 : 1);
   }
   [[nodiscard]] size_t spilled_page_count() const noexcept;
   /// Header of closed page `i` (in order); the open page is not listed.
@@ -166,6 +168,9 @@ class SpillableKvBuffer {
     return resident_bytes_ + open_page_.bytes();
   }
   [[nodiscard]] size_t memory_budget() const noexcept { return memory_budget_; }
+  /// False for a purely in-memory buffer (no storage): its pages never
+  /// leave memory, whatever the budget.
+  [[nodiscard]] bool can_spill() const noexcept { return storage_ != nullptr; }
 
   /// Visit every pair in insertion order, streaming spilled pages back.
   /// The views passed to `fn` alias a page arena and are only valid for
@@ -217,7 +222,13 @@ class SpillableKvBuffer {
     bool on_disk = false;
   };
 
-  [[nodiscard]] bool can_spill() const noexcept { return storage_ != nullptr; }
+  /// Closed pages not yet consumed by pop_front_page, oldest first.
+  [[nodiscard]] std::span<Page> live() noexcept {
+    return std::span<Page>(pages_).subspan(head_);
+  }
+  [[nodiscard]] std::span<const Page> live() const noexcept {
+    return std::span<const Page>(pages_).subspan(head_);
+  }
   void close_open_page();
   /// Spill the oldest resident closed page; no-op if none.
   Status spill_oldest_resident();
@@ -245,7 +256,11 @@ class SpillableKvBuffer {
   ResidencyMeter* meter_ = nullptr;
   size_t metered_ = 0;            // bytes currently booked with meter_
 
-  std::deque<Page> pages_;        // closed pages, oldest first
+  // Closed pages, oldest first. A vector (not a deque, which allocates a
+  // block on construction) keeps an empty buffer free; pop_front_page
+  // advances head_ instead of erasing, and the vector resets once drained.
+  std::vector<Page> pages_;
+  size_t head_ = 0;
   KvBuffer open_page_;            // the page being filled
   size_t resident_bytes_ = 0;     // closed resident pages only
   size_t total_pairs_ = 0;
@@ -283,7 +298,8 @@ class SpillableKmvBuffer {
 
   /// Append one run. The run must be sorted by key with unique keys (what
   /// convert_2pass produces); it is split into whole-entry pages of about
-  /// page_bytes each, spilled as the budget demands.
+  /// page_bytes each, spilled as the budget demands (a buffer that cannot
+  /// spill keeps it as one page).
   Status add_run(KmvBuffer&& run);
 
   /// Re-page future runs at `n` bytes. The k-way merge in for_each_entry

@@ -110,8 +110,9 @@ struct ExplorerWorkload {
   int memory_replication_k = 0;
   /// Per-rank resident-byte budget (FtJobOptions::memory_budget). >0 runs
   /// the job out-of-core: map output, shuffle receive, and convert page
-  /// through the spill tier, so every kill schedule also exercises the
-  /// paged checkpoint/recovery paths. 0 = in-core (the default).
+  /// through the spill tier, so every kill schedule also runs recovery
+  /// against spilling stores and streamed partition checkpoints.
+  /// 0 = unbounded, nothing spills (the default).
   int64_t memory_budget = 0;
 };
 

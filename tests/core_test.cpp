@@ -545,6 +545,14 @@ struct CkptFixture : ::testing::Test {
     for (auto& [k, v] : ps) b.add(k, v);
     return b;
   }
+  /// An in-memory partition store holding `ps`, the kind an in-core job
+  /// checkpoints.
+  mr::SpillableKvBuffer store(
+      std::initializer_list<std::pair<const char*, const char*>> ps) {
+    mr::SpillableKvBuffer s;
+    (void)s.absorb_kv(kv(ps));
+    return s;
+  }
   storage::TempDir tmp;
   std::unique_ptr<storage::StorageSystem> fs;
 };
@@ -570,7 +578,8 @@ TEST_F(CkptFixture, CopierDrainsToSharedWithStamp) {
     CkptOptions o;  // default kLocalWithCopier
     CheckpointManager cm(fs.get(), 0, 7, o, 1);
     c.compute(1.0);
-    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
+    auto part3 = store({{"k", "v"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
     // Shared copy exists (with a drain stamp past t=1.0)...
     RankRecovery late;
     ASSERT_TRUE(cm.load_rank_stage(c, 0, 7, 0, true, /*horizon=*/1e9, late).ok());
@@ -629,8 +638,10 @@ TEST_F(CkptFixture, LoadFilterSelectsSubset) {
     CheckpointManager cm(fs.get(), 0, 0, o, 1);
     ASSERT_TRUE(cm.map_ckpt(c, 0, 1, 0, 10, kv({{"a", "1"}})).ok());
     ASSERT_TRUE(cm.map_ckpt(c, 0, 2, 0, 20, kv({{"b", "2"}})).ok());
-    ASSERT_TRUE(cm.partition_ckpt(c, 0, 4, kv({{"c", "3"}})).ok());
-    ASSERT_TRUE(cm.partition_ckpt(c, 0, 5, kv({{"d", "4"}})).ok());
+    auto part4 = store({{"c", "3"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 4, part4).ok());
+    auto part5 = store({{"d", "4"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 5, part5).ok());
     std::set<uint64_t> tasks{2};
     std::set<int> parts{5};
     LoadFilter f{&tasks, &parts};

@@ -12,6 +12,7 @@
 #include "core/ftjob.hpp"
 #include "mr/spill.hpp"
 #include "simmpi/runtime.hpp"
+#include "storage/replica.hpp"
 #include "storage/storage.hpp"
 
 namespace ftmr::core {
@@ -302,6 +303,47 @@ TEST(MultiFailure, TwoRanksDieTogether) {
   EXPECT_EQ(cl.read_output(), cl.expected);
 }
 
+// A kill in the reduce phase orphans the dead rank's partition; the NWC
+// rebuild re-exchanges it and must re-checkpoint the rebuilt content (a
+// later failure adopts that file), byte for byte as large as the dead
+// owner's shuffle-end checkpoint of the same records.
+TEST(OrphanRebuild, RecheckpointsTheRebuiltPartition) {
+  Cluster cl;
+  simmpi::JobOptions jo;
+  jo.kills.push_back({2, 5e-2, -1});
+  std::atomic<int> new_owner{-1};
+  Runtime::run(4, [&](Comm& c) {
+    FtJobOptions o;
+    o.mode = FtMode::kDetectResumeNWC;
+    o.ppn = 2;
+    FtJob job(c, cl.fs.get(), o);
+    StageFns fns = wc_fns(false);
+    fns.reduce_cost_per_value = 2e-4;  // stretch the reduce phase
+    Status s = job.run([&](FtJob& j) { return driver_of(j, fns); });
+    if (c.global_rank() != 2) {
+      EXPECT_TRUE(s.ok()) << s.to_string();
+      new_owner = job.partition_owners()[2];
+    }
+  }, jo);
+  EXPECT_EQ(cl.read_output(), cl.expected);
+  ASSERT_NE(new_owner.load(), 2);
+  // Size of the rank's newest checkpoint of partition 2 (shared tier).
+  auto part2_bytes = [&](int rank) -> int64_t {
+    const std::string dir = "ck/r" + std::to_string(rank);
+    std::vector<std::string> names;
+    EXPECT_TRUE(cl.fs->list_dir(storage::Tier::kShared, 0, dir, names).ok());
+    std::string newest;
+    for (const auto& n : names) {
+      if (n.rfind("part_s000_p000000000002_", 0) == 0 && n > newest) newest = n;
+    }
+    if (newest.empty()) return -1;
+    return cl.fs->file_size(storage::Tier::kShared, 0, dir + "/" + newest);
+  };
+  const int64_t original = part2_bytes(2);
+  ASSERT_GT(original, 64);  // the dead owner's partition held records
+  EXPECT_EQ(part2_bytes(new_owner.load()), original);
+}
+
 // ---------------------------------------------------------------------------
 // Out-of-core FtJob: memory_budget routes map output, shuffle receive, and
 // reduce conversion through the spill tier; results must be exact and the
@@ -391,26 +433,47 @@ TEST(OutOfCoreFtJob, RecoversFromKillMidMap) {
   EXPECT_EQ(cl.read_output(), cl.expected);
 }
 
-TEST(OutOfCoreFtJob, RecoversFromKillMidReduce) {
-  // A late kill lands in the reduce phase: survivors adopt the dead rank's
-  // partitions (absorbed into spill-backed stores) and the streamed reduce
-  // re-enters at the committed cursor.
+// A late kill lands in the reduce phase. WC: survivors adopt the dead
+// rank's partitions (absorbed into spill-backed stores) and the streamed
+// reduce re-enters at the committed cursor. NWC (with the combiner): the dead
+// rank's partitions are orphaned and rebuilt — combined on the way out — from
+// the survivors' spilled map stores plus its re-executed map tasks.
+class OutOfCoreKillMidReduce : public ::testing::TestWithParam<FtMode> {};
+
+TEST_P(OutOfCoreKillMidReduce, Recovers) {
+  const FtMode mode = GetParam();
+  const bool nwc = mode == FtMode::kDetectResumeNWC;
   Cluster cl;
   simmpi::JobOptions jo;
   jo.kills.push_back({2, 5e-2, -1});
-  Runtime::run(4, [&](Comm& c) {
-    FtJobOptions o = budget_opts(FtMode::kDetectResumeWC);
+  std::atomic<int> rebuilt{0};
+  JobResult r = Runtime::run(4, [&](Comm& c) {
+    FtJobOptions o = budget_opts(mode);
     o.ckpt.records_per_ckpt = 16;
     FtJob job(c, cl.fs.get(), o);
-    StageFns fns = wc_fns(false);
+    StageFns fns = wc_fns(nwc);
     fns.reduce_cost_per_value = 2e-4;  // stretch the reduce phase
     Status s = job.run([&](FtJob& j) { return driver_of(j, fns); });
     if (c.global_rank() != 2) {
       EXPECT_TRUE(s.ok()) << s.to_string();
+      EXPECT_EQ(job.recoveries(), 1);
+      // The orphan rebuild charges its own recovery span, after the one
+      // recover() charges.
+      int recovery_spans = 0;
+      for (const auto& e : job.trace().events()) {
+        if (e.name == "recovery") recovery_spans++;
+      }
+      if (recovery_spans > 1) rebuilt++;
     }
   }, jo);
+  EXPECT_EQ(r.killed_count(), 1);
+  EXPECT_EQ(rebuilt.load(), nwc ? 3 : 0);
   EXPECT_EQ(cl.read_output(), cl.expected);
 }
+
+INSTANTIATE_TEST_SUITE_P(DetectResume, OutOfCoreKillMidReduce,
+                         ::testing::Values(FtMode::kDetectResumeWC,
+                                           FtMode::kDetectResumeNWC));
 
 TEST(OutOfCoreFtJob, CheckpointRestartResumesPaged) {
   // CR restart must be able to prime from the paged (streamed) partition
@@ -438,8 +501,9 @@ TEST(OutOfCoreFtJob, CheckpointRestartResumesPaged) {
 }
 
 // ---------------------------------------------------------------------------
-// Paged checkpoint writer: streamed file must be byte-identical to the
-// in-core writer's, so every existing loader reads it unchanged.
+// Partition checkpoints: one entry point, two writers. A store that can spill
+// is streamed page by page, an in-memory one is framed whole; the files must
+// be byte-identical, so every loader reads both unchanged.
 // ---------------------------------------------------------------------------
 
 TEST(PagedCheckpoint, ByteIdenticalToInCoreWriter) {
@@ -449,26 +513,38 @@ TEST(PagedCheckpoint, ByteIdenticalToInCoreWriter) {
   so_b.root = tmp_b.path();
   storage::StorageSystem fs_a(so_a), fs_b(so_b);
   Bytes flat, paged;
-  Runtime::run(1, [&](Comm& c) {
-    mr::KvBuffer kv;
-    mr::SpillableKvBuffer skv(&fs_b, 0, "spill/ckpt", /*page_bytes=*/512,
-                              /*memory_budget=*/1024);
-    for (int i = 0; i < 200; ++i) {
-      std::string k = "key-" + std::to_string(i % 37);
-      std::string v(static_cast<size_t>(1 + i % 53), static_cast<char>('a' + i % 26));
-      kv.add(k, v);
-      ASSERT_TRUE(skv.add(k, v).ok());
+  Runtime::run(2, [&](Comm& c) {
+    if (c.rank() == 0) {
+      // Same pairs, same page size; only the spilling store has storage.
+      mr::SpillableKvBuffer in_memory(nullptr, 0, "", /*page_bytes=*/512);
+      mr::SpillableKvBuffer spilling(&fs_b, 0, "spill/ckpt", /*page_bytes=*/512,
+                                     /*memory_budget=*/1024);
+      for (int i = 0; i < 200; ++i) {
+        std::string k = "key-" + std::to_string(i % 37);
+        std::string v(static_cast<size_t>(1 + i % 53),
+                      static_cast<char>('a' + i % 26));
+        ASSERT_TRUE(in_memory.add(k, v).ok());
+        ASSERT_TRUE(spilling.add(k, v).ok());
+      }
+      ASSERT_FALSE(in_memory.can_spill());
+      ASSERT_GT(in_memory.page_count(), 1u);       // framed across pages
+      ASSERT_GT(spilling.spilled_page_count(), 0u);  // the stream really pages
+      CkptOptions o;
+      o.location = CkptOptions::Location::kLocalOnly;
+      o.memory_replication_k = 1;
+      CheckpointManager mgr_a(&fs_a, 0, 0, o, 1, /*ppn=*/1);
+      CheckpointManager mgr_b(&fs_b, 0, 0, o, 1, /*ppn=*/1);
+      ASSERT_TRUE(mgr_a.partition_ckpt(c, 1, 3, in_memory).ok());
+      ASSERT_TRUE(mgr_b.partition_ckpt(c, 1, 3, spilling).ok());
+      const std::string path = "ck/r0/part_s001_p000000000003_q000000";
+      ASSERT_TRUE(fs_a.read_file(storage::Tier::kLocal, 0, path, flat).ok());
+      ASSERT_TRUE(fs_b.read_file(storage::Tier::kLocal, 0, path, paged).ok());
+      // Only the in-memory writer replicates: a RAM replica of a spilling
+      // store would re-buy the residency its budget gave up.
+      EXPECT_EQ(fs_a.memory().all_paths().size(), 1u);
+      EXPECT_TRUE(fs_b.memory().all_paths().empty());
     }
-    ASSERT_GT(skv.spilled_page_count(), 0u);  // the stream really pages
-    CkptOptions o;
-    o.location = CkptOptions::Location::kLocalOnly;
-    CheckpointManager mgr_a(&fs_a, 0, 0, o, 1);
-    CheckpointManager mgr_b(&fs_b, 0, 0, o, 1);
-    ASSERT_TRUE(mgr_a.partition_ckpt(c, 1, 3, kv).ok());
-    ASSERT_TRUE(mgr_b.partition_ckpt_paged(c, 1, 3, skv).ok());
-    const std::string path = "ck/r0/part_s001_p000000000003_q000000";
-    ASSERT_TRUE(fs_a.read_file(storage::Tier::kLocal, 0, path, flat).ok());
-    ASSERT_TRUE(fs_b.read_file(storage::Tier::kLocal, 0, path, paged).ok());
+    ASSERT_TRUE(c.barrier().ok());
   });
   ASSERT_FALSE(flat.empty());
   EXPECT_EQ(flat, paged);

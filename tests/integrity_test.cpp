@@ -236,6 +236,14 @@ struct IntegrityCkptFixture : ::testing::Test {
     for (auto& [k, v] : ps) b.add(k, v);
     return b;
   }
+  /// An in-memory partition store holding `ps`, the kind an in-core job
+  /// checkpoints.
+  mr::SpillableKvBuffer store(
+      std::initializer_list<std::pair<const char*, const char*>> ps) {
+    mr::SpillableKvBuffer s;
+    (void)s.absorb_kv(kv(ps));
+    return s;
+  }
   // Overwrite one checkpoint file (selected by substring) with a torn
   // prefix of itself, simulating a write cut short by a crash.
   void tear_file(storage::Tier tier, const std::string& substr) {
@@ -260,7 +268,8 @@ TEST_F(IntegrityCkptFixture, TornSharedCopyServedFromLocalReplica) {
   Runtime::run(1, [&](Comm& c) {
     CkptOptions o;  // kLocalWithCopier: file exists on both tiers
     CheckpointManager cm(fs.get(), 0, 0, o, 1);
-    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
+    auto part3 = store({{"k", "v"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
     tear_file(storage::Tier::kShared, "part_");
     RankRecovery rec;
     ASSERT_TRUE(cm.load_rank_stage(c, 0, 0, 0, /*from_shared=*/true, 1e9, rec).ok());
@@ -276,7 +285,8 @@ TEST_F(IntegrityCkptFixture, TornLocalFileServedFromDrainedSharedCopy) {
   Runtime::run(1, [&](Comm& c) {
     CkptOptions o;
     CheckpointManager cm(fs.get(), 0, 0, o, 1);
-    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
+    auto part3 = store({{"k", "v"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
     tear_file(storage::Tier::kLocal, "part_");
     RankRecovery rec;
     ASSERT_TRUE(cm.load_rank_stage(c, 0, 0, 0, /*from_shared=*/false, -1.0, rec).ok());
@@ -290,8 +300,10 @@ TEST_F(IntegrityCkptFixture, BothReplicasTornQuarantinesAndKeepsRest) {
   Runtime::run(1, [&](Comm& c) {
     CkptOptions o;
     CheckpointManager cm(fs.get(), 0, 0, o, 1);
-    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
-    ASSERT_TRUE(cm.partition_ckpt(c, 0, 4, kv({{"k2", "v2"}})).ok());
+    auto part3 = store({{"k", "v"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
+    auto part4 = store({{"k2", "v2"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 4, part4).ok());
     tear_file(storage::Tier::kShared, "p000000000003");
     tear_file(storage::Tier::kLocal, "p000000000003");
     RankRecovery rec;

@@ -273,6 +273,14 @@ struct ReplicaCkptFixture : ::testing::Test {
     for (auto& [k, v] : ps) b.add(k, v);
     return b;
   }
+  /// An in-memory partition store holding `ps`, the kind an in-core job
+  /// checkpoints.
+  static mr::SpillableKvBuffer store(
+      std::initializer_list<std::pair<const char*, const char*>> ps) {
+    mr::SpillableKvBuffer s;
+    (void)s.absorb_kv(kv(ps));
+    return s;
+  }
   storage::TempDir tmp;
   std::unique_ptr<storage::StorageSystem> fs;
 };
@@ -283,7 +291,8 @@ TEST_F(ReplicaCkptFixture, CheckpointWriteReplicatesAndRecoveryHitsMemory) {
     o.memory_replication_k = 2;
     CheckpointManager cm(fs.get(), c.rank(), c.rank(), o, 1, /*ppn=*/1);
     if (c.rank() == 0) {
-      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
+      auto part3 = store({{"k", "v"}});
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
       // ppn=1 makes every other rank eligible; k=2 copies must exist, and
       // never in the owner's own memory.
       const auto paths = fs->memory().all_paths();
@@ -311,7 +320,8 @@ TEST_F(ReplicaCkptFixture, CorruptedReplicasFallBackToFileTiers) {
     o.memory_replication_k = 2;
     CheckpointManager cm(fs.get(), c.rank(), c.rank(), o, 1, /*ppn=*/1);
     if (c.rank() == 0) {
-      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, kv({{"k", "v"}})).ok());
+      auto part3 = store({{"k", "v"}});
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
       // Smash every in-memory copy; the CRC frame must reject them and the
       // ladder must fall through to the (intact) file tiers.
       const auto paths = fs->memory().all_paths();

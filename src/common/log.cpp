@@ -47,13 +47,12 @@ void set_log_sink(LogSink sink) {
 }
 
 void log_line(LogLevel level, const std::string& line) {
+  // Built by append: GCC 12's -Wrestrict misfires on "..." + std::string.
   std::string formatted;
-  if (t_rank >= 0) {
-    formatted = "[" + std::string(level_name(level)) + " r" +
-                std::to_string(t_rank) + "] " + line;
-  } else {
-    formatted = "[" + std::string(level_name(level)) + "] " + line;
-  }
+  formatted.reserve(line.size() + 24);
+  formatted.append("[").append(level_name(level));
+  if (t_rank >= 0) formatted.append(" r").append(std::to_string(t_rank));
+  formatted.append("] ").append(line);
   SinkState& st = sink_state();
   MutexLock lock(st.mu);
   if (st.sink) {

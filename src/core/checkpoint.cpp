@@ -75,10 +75,39 @@ std::string base_name(const char* kind, int stage, uint64_t id, int seq) {
   return buf;
 }
 
-using ParsedName = CkptFileName;
+/// The shared tier's drain stamp: a drained copy of `name` is stored as
+/// "<name>_d<usec>", `usec` being the simulated drain-completion time.
+std::string drain_stamped(const std::string& name, double t) {
+  return name + "_d" + std::to_string(static_cast<int64_t>(t * 1e6));
+}
 
-bool parse_name(const std::string& name, ParsedName& out) {
-  return parse_checkpoint_name(name, out);
+/// `name` without its drain stamp: the base name the local file and the
+/// memory-tier replica carry.
+std::string strip_drain_stamp(const std::string& name) {
+  const auto pos = name.rfind("_d");
+  return pos == std::string::npos ? name : name.substr(0, pos);
+}
+
+/// Delta-chain contiguity, shared by map and red chains: a delta covering
+/// [start, end) is merged only if it extends the applied chain contiguously.
+/// Re-execution is deterministic (map over a chunk, reduce over a given
+/// partition snapshot in sorted entry order), so a chain restarted from 0 by
+/// a later incarnation carries the *same* records as the prefix it shadows;
+/// merging both would replay them twice (the duplication bug the schedule
+/// explorer caught under CR kills in two consecutive submissions). Returns
+/// false on a gap or partial overlap: a flat KV blob cannot be split, so the
+/// caller poisons the chain, keeping the verified prefix, and the tail is
+/// reprocessed from input.
+bool extend_chain(uint64_t start, uint64_t end, const mr::KvBuffer& delta,
+                  uint64_t& chain_end, mr::KvBuffer& chain) {
+  if (start != chain_end) {
+    if (start != 0) return false;
+    if (end <= chain_end) return true;  // duplicate prefix of what is applied
+    chain = mr::KvBuffer();             // restart supersedes the shorter prefix
+  }
+  chain_end = end;
+  chain.merge_from(delta);
+  return true;
 }
 
 /// A partition checkpoint's payload up to the record bytes:
@@ -127,34 +156,109 @@ CheckpointManager::CheckpointManager(storage::StorageSystem* fs, int node, int r
   // append-only, and reusing a sequence number would overwrite an older
   // delta segment in place — recovery would then see the chain's maximum
   // position but miss the records the clobbered segment carried.
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
+  const std::string rank_dir = checkpoint_rank_dir(rank_);
   for (storage::Tier tier : {storage::Tier::kLocal, storage::Tier::kShared}) {
     std::vector<std::string> names;
     if (!fs_->list_dir(tier, node_, rank_dir, names).ok()) continue;
     for (const std::string& n : names) {
-      ParsedName p;
-      if (parse_name(n, p) && p.seq >= next_seq_) next_seq_ = p.seq + 1;
+      CkptFileName p;
+      if (parse_checkpoint_name(n, p) && p.seq >= next_seq_) next_seq_ = p.seq + 1;
     }
   }
 }
 
-Status CheckpointManager::put(simmpi::Comm& comm, const std::string& name,
-                              const Bytes& payload) {
-  if (!opts_.enabled) return Status::Ok();
-  const double t0 = comm.now();
-  const Bytes framed = frame_checkpoint(payload);
+void CheckpointManager::charge_write(simmpi::Comm& comm, double seconds) {
+  comm.compute(seconds);
+  write_seconds_ += seconds;
+}
+
+Status CheckpointManager::write_ckpt(simmpi::Comm& comm, double t0,
+                                     const std::string& name,
+                                     uint64_t framed_size,
+                                     const WriteOnce& write_once,
+                                     const Bytes* whole_frame,
+                                     mr::SpillableKvBuffer* pages) {
   // Framing + CRC are free in virtual time (CPU is not modeled for them);
   // a zero-duration span still marks every frame event on the timeline.
   if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
   count_++;
-  bytes_written_ += framed.size();
-  const Status s = put_impl(comm, name, framed);
+  bytes_written_ += framed_size;
+
+  storage::Tier tier = storage::Tier::kLocal;
+  std::string path = checkpoint_rank_dir(rank_) + "/" + name;
+  int concurrency = 1;
+  switch (opts_.location) {
+    case CkptOptions::Location::kSharedDirect:
+      // The inferior baseline: every (small) checkpoint pays a shared-
+      // storage op, with full contention.
+      tier = storage::Tier::kShared;
+      path = drain_stamped(path, comm.now());
+      concurrency = conc_;
+      break;
+    case CkptOptions::Location::kLocalOnly:
+    case CkptOptions::Location::kLocalWithCopier:
+      break;
+  }
+
+  // Checkpoint writes are best-effort: a write that still fails after the
+  // retry budget costs future recovery work (that delta is simply not
+  // durable), never correctness, so it is counted and dropped rather than
+  // failing the job — the whole point of this layer is surviving faulty
+  // checkpoint I/O. Each attempt rewrites the file from scratch.
+  Status s;
+  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+    s = write_once(tier, path, concurrency);
+    // Stop on success or on a non-transient error: retrying cannot help,
+    // and dropping a kFailedPrecondition would hide a misconfiguration
+    // (e.g. local placement on a cluster with no local disks).
+    if (s.ok() || s.code() == ErrorCode::kFailedPrecondition ||
+        s.code() == ErrorCode::kInvalidArgument) {
+      break;
+    }
+    if (attempt < retry_.max_attempts) {
+      charge_write(comm, retry_.backoff_before(attempt));
+      integ_.io_retries++;
+      if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
+      metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
+    }
+  }
+  Status result = Status::Ok();
+  if (s.code() == ErrorCode::kFailedPrecondition) {
+    result = s;
+  } else if (!s.ok()) {
+    integ_.ckpt_write_failures++;
+    FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
+              << s.to_string();
+  } else if (opts_.location == CkptOptions::Location::kLocalWithCopier) {
+    result = drain_to_shared(comm, path);
+  }
+  // Spill I/O incurred re-loading pages for a stream elapses on the
+  // writer's clock here, at the checkpoint boundary.
+  if (pages) comm.compute(pages->take_io_seconds());
   if (trace_) trace_->span("ckpt.write", "ckpt", t0, comm.now());
   metrics::MetricsRegistry::global().add("ckpt.writes", rank_);
   metrics::MetricsRegistry::global().add("ckpt.bytes_written", rank_,
-                                         static_cast<double>(framed.size()));
-  if (s.ok()) replicate(comm, name, framed);
-  return s;
+                                         static_cast<double>(framed_size));
+  // Only a frame already whole in memory is replicated: a full in-RAM
+  // replica of a streamed (out-of-core) partition would re-buy exactly the
+  // residency the spill budget gave up, so those recover from files only.
+  if (result.ok() && whole_frame) replicate(comm, name, *whole_frame);
+  return result;
+}
+
+Status CheckpointManager::put(simmpi::Comm& comm, const std::string& name,
+                              const Bytes& payload) {
+  const double t0 = comm.now();
+  const Bytes framed = frame_checkpoint(payload);
+  return write_ckpt(
+      comm, t0, name, framed.size(),
+      [&](storage::Tier tier, const std::string& path, int concurrency) {
+        double cost = 0.0;
+        Status s = fs_->write_file(tier, node_, path, framed, &cost, concurrency);
+        if (s.ok()) charge_write(comm, cost);
+        return s;
+      },
+      &framed, nullptr);
 }
 
 std::vector<int> CheckpointManager::live_ranks(const simmpi::Comm& comm) {
@@ -167,117 +271,52 @@ std::vector<int> CheckpointManager::live_ranks(const simmpi::Comm& comm) {
   return live;
 }
 
-void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
-                                  const Bytes& framed) {
-  const int k = opts_.memory_replication_k;
-  if (k <= 0) return;
-  const double t0 = comm.now();
-  const std::vector<int> targets =
-      storage::replica_placement(rank_, k, live_ranks(comm), ppn_);
-  const std::string mpath = "ck/r" + std::to_string(rank_) + "/" + name;
+int CheckpointManager::push_replicas(simmpi::Comm& comm, int owner,
+                                     const std::vector<int>& live,
+                                     const std::string& mpath,
+                                     const Bytes& framed,
+                                     const std::vector<int>& holders) {
   storage::ReplicaStore& mem = fs_->memory();
-  for (int tgt : targets) {
-    const int rel = comm.rel_of_global(tgt);
-    if (rel < 0) {
-      integ_.replica_push_failures++;
-      continue;
+  int pushed = 0;
+  for (int tgt : storage::replica_placement(owner, opts_.memory_replication_k,
+                                            live, ppn_)) {
+    if (std::find(holders.begin(), holders.end(), tgt) != holders.end()) {
+      continue;  // already replicated there
     }
     // The rma handshake charges the wire and verifies the target lives
     // (a dead target surfaces kProcFailed through the errhandler, exactly
     // like a send); the deposit itself can still lose a razor-thin race
     // with the target's death — the store's dead-mark turns that into a
     // counted lost push instead of a ghost replica.
-    if (auto s = comm.rma_put(rel, framed.size()); !s.ok()) {
-      integ_.replica_push_failures++;
-      metrics::MetricsRegistry::global().add("ckpt.replica_push_failures", rank_);
+    const int rel = comm.rel_of_global(tgt);
+    if (rel >= 0 && comm.rma_put(rel, framed.size()).ok() &&
+        mem.put(tgt, mpath, framed, nullptr).ok()) {
+      pushed++;
       continue;
     }
-    if (auto s = mem.put(tgt, mpath, framed, nullptr); !s.ok()) {
-      integ_.replica_push_failures++;
-      metrics::MetricsRegistry::global().add("ckpt.replica_push_failures", rank_);
-      continue;
-    }
-    metrics::MetricsRegistry::global().add("ckpt.replica_pushes", rank_);
+    integ_.replica_push_failures++;
+    metrics::MetricsRegistry::global().add("ckpt.replica_push_failures", rank_);
+  }
+  return pushed;
+}
+
+void CheckpointManager::replicate(simmpi::Comm& comm, const std::string& name,
+                                  const Bytes& framed) {
+  if (opts_.memory_replication_k <= 0) return;
+  const double t0 = comm.now();
+  const int pushed =
+      push_replicas(comm, rank_, live_ranks(comm),
+                    checkpoint_rank_dir(rank_) + "/" + name, framed, {});
+  if (pushed > 0) {
+    metrics::MetricsRegistry::global().add("ckpt.replica_pushes", rank_,
+                                           static_cast<double>(pushed));
     metrics::MetricsRegistry::global().add(
-        "ckpt.replica_bytes", rank_, static_cast<double>(framed.size()));
+        "ckpt.replica_bytes", rank_,
+        static_cast<double>(pushed) * static_cast<double>(framed.size()));
   }
   // The span's op stamp marks the replication window on the timeline, so
   // the fault explorer harvests kill candidates inside it.
   if (trace_) trace_->span("ckpt.replica_push", "ckpt", t0, comm.now());
-}
-
-Status CheckpointManager::put_impl(simmpi::Comm& comm, const std::string& name,
-                                   const Bytes& framed) {
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
-
-  // Checkpoint writes are best-effort: a write that still fails after the
-  // retry budget costs future recovery work (that delta is simply not
-  // durable), never correctness, so it is counted and dropped rather than
-  // failing the job — the whole point of this layer is surviving faulty
-  // checkpoint I/O.
-  auto write_retrying = [&](storage::Tier tier, const std::string& path,
-                            int concurrency) -> Status {
-    Status last;
-    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-      double cost = 0.0;
-      last = fs_->write_file(tier, node_, path, framed, &cost, concurrency);
-      if (last.ok()) {
-        comm.compute(cost);
-        write_seconds_ += cost;
-        return last;
-      }
-      // Not transient — retrying cannot help and dropping would hide a
-      // misconfiguration (e.g. local placement on a cluster with no local
-      // disks).
-      if (last.code() == ErrorCode::kFailedPrecondition ||
-          last.code() == ErrorCode::kInvalidArgument) {
-        return last;
-      }
-      if (attempt < retry_.max_attempts) {
-        const double backoff = retry_.backoff_before(attempt);
-        comm.compute(backoff);
-        write_seconds_ += backoff;
-        integ_.io_retries++;
-        if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
-        metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
-      }
-    }
-    return last;
-  };
-
-  switch (opts_.location) {
-    case CkptOptions::Location::kSharedDirect: {
-      // The inferior baseline: every (small) checkpoint pays a shared-
-      // storage op, with full contention.
-      const std::string shared_name =
-          name + "_d" + std::to_string(static_cast<int64_t>(comm.now() * 1e6));
-      if (auto s = write_retrying(storage::Tier::kShared,
-                                  rank_dir + "/" + shared_name, conc_);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) return s;
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-      }
-      return Status::Ok();
-    }
-    case CkptOptions::Location::kLocalOnly:
-    case CkptOptions::Location::kLocalWithCopier: {
-      if (auto s = write_retrying(storage::Tier::kLocal, rank_dir + "/" + name, 1);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) return s;
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-        return Status::Ok();
-      }
-      if (opts_.location == CkptOptions::Location::kLocalWithCopier) {
-        return drain_to_shared(comm, rank_dir + "/" + name);
-      }
-      return Status::Ok();
-    }
-  }
-  return {ErrorCode::kInternal, "unknown checkpoint location"};
 }
 
 Status CheckpointManager::drain_to_shared(simmpi::Comm& comm,
@@ -293,8 +332,7 @@ Status CheckpointManager::drain_to_shared(simmpi::Comm& comm,
               << s.to_string();
     return Status::Ok();
   }
-  const std::string stamped =
-      probe + "_d" + std::to_string(static_cast<int64_t>(done_at * 1e6));
+  const std::string stamped = drain_stamped(probe, done_at);
   // Rename the drained copy to carry its stamp. If the rename chain fails
   // the unstamped probe remains readable, so this too degrades instead of
   // failing the job.
@@ -330,41 +368,34 @@ Status CheckpointManager::partition_ckpt(simmpi::Comm& comm, int stage,
                                          int partition,
                                          mr::SpillableKvBuffer& kv) {
   if (!opts_.enabled) return Status::Ok();
-  if (kv.can_spill()) return stream_partition_ckpt(comm, stage, partition, kv);
-  // An in-memory store is framed whole: one put(), replicas included.
-  const int seq = next_seq_++;
-  Bytes payload;
-  payload.reserve(sizeof(int32_t) + sizeof(uint32_t) + mr::kCountHeaderBytes +
-                  kv.bytes());
-  ByteWriter w(std::move(payload));
-  put_partition_prefix(w, partition, kv);
-  if (auto s = kv.for_each_page([&w](const mr::KvBuffer& page) {
-        w.put_bytes(page.wire_view().subspan(mr::kCountHeaderBytes));
-        return Status::Ok();
-      });
-      !s.ok()) {
-    return s;
-  }
-  return put(comm, base_name(kPart, stage, static_cast<uint64_t>(partition), seq),
-             std::move(w).take());
-}
-
-Status CheckpointManager::stream_partition_ckpt(simmpi::Comm& comm, int stage,
-                                                int partition,
-                                                mr::SpillableKvBuffer& kv) {
   const int seq = next_seq_++;
   const std::string name =
       base_name(kPart, stage, static_cast<uint64_t>(partition), seq);
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
-  const double t0 = comm.now();
+  if (!kv.can_spill()) {
+    // An in-memory store is framed whole: one put(), replicas included.
+    Bytes payload;
+    payload.reserve(sizeof(int32_t) + sizeof(uint32_t) + mr::kCountHeaderBytes +
+                    kv.bytes());
+    ByteWriter w(std::move(payload));
+    put_partition_prefix(w, partition, kv);
+    if (auto s = kv.for_each_page([&w](const mr::KvBuffer& page) {
+          w.put_bytes(page.wire_view().subspan(mr::kCountHeaderBytes));
+          return Status::Ok();
+        });
+        !s.ok()) {
+      return s;
+    }
+    return put(comm, name, std::move(w).take());
+  }
 
-  // Frame prefix: header + payload fields up to the KV wire body, built
-  // once. The resulting file is byte-identical to frame_checkpoint() over
-  // the in-memory writer's payload, but the record bytes are appended one
-  // page at a time below, so the partition is never whole in memory.
-  const uint64_t body_bytes = kv.bytes();
-  const uint64_t blob_len = mr::kCountHeaderBytes + body_bytes;
-  const uint64_t payload_len = sizeof(int32_t) + sizeof(uint32_t) + blob_len;
+  // A spill-backed store is streamed. Frame prefix: header + payload fields
+  // up to the KV wire body, built once. The resulting file is byte-identical
+  // to frame_checkpoint() over the in-memory payload, but the record bytes
+  // are appended one page at a time, so the partition is never whole in
+  // memory.
+  const double t0 = comm.now();
+  const uint64_t payload_len = sizeof(int32_t) + sizeof(uint32_t) +
+                               mr::kCountHeaderBytes + kv.bytes();
   const uint64_t framed_size = kCkptFrameOverhead + payload_len;
   ByteWriter w;
   w.put<uint32_t>(kCkptMagic);
@@ -373,133 +404,45 @@ Status CheckpointManager::stream_partition_ckpt(simmpi::Comm& comm, int stage,
   w.put<uint64_t>(payload_len);
   put_partition_prefix(w, partition, kv);
   const Bytes prefix = std::move(w).take();
-  if (trace_) trace_->span("ckpt.frame", "ckpt", t0, comm.now());
 
   // One streaming pass: prefix, then each page's wire body (spilled pages
   // load one at a time and stay intact on their spill files), then the CRC
-  // trailer accumulated across everything written. A final size probe
-  // catches torn appends — a stream that raced a storage fault mid-page
-  // would otherwise leave a plausible-length file that only recovery-time
-  // CRC checking could reject.
+  // trailer accumulated across everything written. Appends cannot be
+  // rewound, so each attempt first removes what an earlier one left. A
+  // final size probe catches torn appends — a stream that raced a storage
+  // fault mid-page would otherwise leave a plausible-length file that only
+  // recovery-time CRC checking could reject.
   auto stream_once = [&](storage::Tier tier, const std::string& path,
                          int concurrency) -> Status {
-    uint32_t crc = crc32_init();
-    crc = crc32_update(crc, prefix);
-    double cost = 0.0;
-    if (auto s = fs_->write_file(tier, node_, path, prefix, &cost, concurrency);
-        !s.ok()) {
+    (void)fs_->remove(tier, node_, path);
+    auto write_part = [&](std::span<const std::byte> bytes, bool create) {
+      double cost = 0.0;
+      Status s =
+          create ? fs_->write_file(tier, node_, path, bytes, &cost, concurrency)
+                 : fs_->append_file(tier, node_, path, bytes, &cost, concurrency);
+      if (s.ok()) charge_write(comm, cost);
       return s;
-    }
-    comm.compute(cost);
-    write_seconds_ += cost;
+    };
+    uint32_t crc = crc32_update(crc32_init(), prefix);
+    if (auto s = write_part(prefix, true); !s.ok()) return s;
     const size_t npages = kv.page_count();
     mr::KvBuffer page;
     for (size_t i = 0; i < npages; ++i) {
       if (auto s = kv.read_page(i, page); !s.ok()) return s;
       const auto body = page.wire_view().subspan(mr::kCountHeaderBytes);
       crc = crc32_update(crc, body);
-      cost = 0.0;
-      if (auto s = fs_->append_file(tier, node_, path, body, &cost, concurrency);
-          !s.ok()) {
-        return s;
-      }
-      comm.compute(cost);
-      write_seconds_ += cost;
+      if (auto s = write_part(body, false); !s.ok()) return s;
     }
     ByteWriter tw;
     tw.put<uint32_t>(crc32_final(crc));
-    cost = 0.0;
-    if (auto s = fs_->append_file(tier, node_, path, std::move(tw).take(), &cost,
-                                  concurrency);
-        !s.ok()) {
-      return s;
-    }
-    comm.compute(cost);
-    write_seconds_ += cost;
+    if (auto s = write_part(std::move(tw).take(), false); !s.ok()) return s;
     const int64_t sz = fs_->file_size(tier, node_, path);
     if (sz < 0 || static_cast<uint64_t>(sz) != framed_size) {
       return {ErrorCode::kCorrupt, "paged ckpt: torn stream on " + path};
     }
     return Status::Ok();
   };
-
-  // Same retry ladder and best-effort-drop policy as put_impl, but a failed
-  // or torn stream restarts the whole file: appends cannot be rewound, so
-  // the partial file is removed and the stream re-runs from the prefix.
-  auto stream_retrying = [&](storage::Tier tier, const std::string& path,
-                             int concurrency) -> Status {
-    Status last;
-    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-      (void)fs_->remove(tier, node_, path);
-      last = stream_once(tier, path, concurrency);
-      if (last.ok()) return last;
-      if (last.code() == ErrorCode::kFailedPrecondition ||
-          last.code() == ErrorCode::kInvalidArgument) {
-        return last;
-      }
-      if (attempt < retry_.max_attempts) {
-        const double backoff = retry_.backoff_before(attempt);
-        comm.compute(backoff);
-        write_seconds_ += backoff;
-        integ_.io_retries++;
-        if (trace_) trace_->instant("ckpt.retry", "ckpt", comm.now());
-        metrics::MetricsRegistry::global().add("ckpt.io_retries", rank_);
-      }
-    }
-    return last;
-  };
-
-  count_++;
-  bytes_written_ += framed_size;
-  Status result = Status::Ok();
-  switch (opts_.location) {
-    case CkptOptions::Location::kSharedDirect: {
-      const std::string shared_name =
-          name + "_d" + std::to_string(static_cast<int64_t>(comm.now() * 1e6));
-      if (auto s = stream_retrying(storage::Tier::kShared,
-                                   rank_dir + "/" + shared_name, conc_);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) {
-          result = s;
-          break;
-        }
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-      }
-      break;
-    }
-    case CkptOptions::Location::kLocalOnly:
-    case CkptOptions::Location::kLocalWithCopier: {
-      if (auto s =
-              stream_retrying(storage::Tier::kLocal, rank_dir + "/" + name, 1);
-          !s.ok()) {
-        if (s.code() == ErrorCode::kFailedPrecondition) {
-          result = s;
-          break;
-        }
-        integ_.ckpt_write_failures++;
-        FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
-                  << s.to_string();
-        break;
-      }
-      if (opts_.location == CkptOptions::Location::kLocalWithCopier) {
-        result = drain_to_shared(comm, rank_dir + "/" + name);
-      }
-      break;
-    }
-  }
-  // Spill I/O incurred re-loading pages for the stream elapses on the
-  // writer's clock here, at the checkpoint boundary.
-  comm.compute(kv.take_io_seconds());
-  if (trace_) trace_->span("ckpt.write", "ckpt", t0, comm.now());
-  metrics::MetricsRegistry::global().add("ckpt.writes", rank_);
-  metrics::MetricsRegistry::global().add("ckpt.bytes_written", rank_,
-                                         static_cast<double>(framed_size));
-  // No memory-tier replicate(): a full in-RAM replica of an out-of-core
-  // partition would re-buy exactly the residency the spill budget gave up,
-  // so paged checkpoints recover through the file tiers only.
-  return result;
+  return write_ckpt(comm, t0, name, framed_size, stream_once, nullptr, &kv);
 }
 
 Status CheckpointManager::reduce_ckpt(simmpi::Comm& comm, int stage, int partition,
@@ -576,12 +519,12 @@ int CheckpointManager::release_stage_memory(int keep_from_stage) {
   // invalidation is a local metadata drop at each holder (piggybacked on
   // the next collective in a real system), so no wire time is charged.
   storage::ReplicaStore& mem = fs_->memory();
-  const std::string prefix = "ck/r" + std::to_string(rank_) + "/";
+  const std::string prefix = checkpoint_rank_dir(rank_) + "/";
   int removed = 0;
   for (const std::string& mpath : mem.all_paths()) {
     if (mpath.compare(0, prefix.size(), prefix) != 0) continue;
-    ParsedName p;
-    if (!parse_name(mpath.substr(prefix.size()), p)) continue;
+    CkptFileName p;
+    if (!parse_checkpoint_name(mpath.substr(prefix.size()), p)) continue;
     if (p.stage >= keep_from_stage) continue;
     for (int holder : mem.holders_of(mpath)) {
       mem.remove(holder, mpath);
@@ -592,42 +535,18 @@ int CheckpointManager::release_stage_memory(int keep_from_stage) {
 }
 
 Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
-  const int k = opts_.memory_replication_k;
-  if (!opts_.enabled || k <= 0) return Status::Ok();
+  if (!opts_.enabled || opts_.memory_replication_k <= 0) return Status::Ok();
   const double t0 = comm.now();
   storage::ReplicaStore& mem = fs_->memory();
   const std::vector<int> live = live_ranks(comm);
   int healed = 0;
 
-  auto push_to = [&](int owner, const std::string& mpath, const Bytes& framed,
-                     const std::vector<int>& holders) {
-    for (int tgt : storage::replica_placement(owner, k, live, ppn_)) {
-      if (std::find(holders.begin(), holders.end(), tgt) != holders.end()) {
-        continue;  // already replicated there
-      }
-      const int rel = comm.rel_of_global(tgt);
-      if (rel < 0) {
-        integ_.replica_push_failures++;
-        continue;
-      }
-      if (auto s = comm.rma_put(rel, framed.size()); !s.ok()) {
-        integ_.replica_push_failures++;
-        continue;
-      }
-      if (mem.put(tgt, mpath, framed, nullptr).ok()) {
-        healed++;
-      } else {
-        integ_.replica_push_failures++;
-      }
-    }
-  };
-
   // Pinned (converged-frontier) stages heal first in both passes: if repair
   // is interrupted by another failure, the resume frontier has already
   // regained coverage. Non-frontier blobs keep their harvest order.
   auto stage_pinned = [this](const std::string& name) {
-    ParsedName p;
-    return parse_name(name, p) && pinned_stages_.count(p.stage) > 0;
+    CkptFileName p;
+    return parse_checkpoint_name(name, p) && pinned_stages_.count(p.stage) > 0;
   };
   auto pinned_first = [&](std::vector<std::string>& items, bool full_path) {
     std::stable_sort(items.begin(), items.end(),
@@ -654,7 +573,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     Bytes framed;
     if (!mem.get(rank_, mpath, framed, nullptr).ok()) continue;
     comm.compute(mem.cost_of(framed.size(), 1));
-    push_to(owner, mpath, framed, holders);
+    healed += push_replicas(comm, owner, live, mpath, framed, holders);
   }
 
   // Pass 2: blobs whose replicas all died. A surviving owner re-pushes
@@ -662,7 +581,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
   // file never becomes a plausible-looking replica. (A *dead* owner's
   // blobs are not re-pushed: its state was already absorbed by the WC
   // recovery load, and future checkpoints belong to the new owners.)
-  const std::string rank_dir = "ck/r" + std::to_string(rank_);
+  const std::string rank_dir = checkpoint_rank_dir(rank_);
   const bool use_local =
       opts_.location != CkptOptions::Location::kSharedDirect &&
       fs_->options().has_local_disk;
@@ -672,16 +591,12 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
   (void)fs_->list_dir(tier, node_, rank_dir, names);
   pinned_first(names, false);
   for (const std::string& n : names) {
-    ParsedName p;
-    if (!parse_name(n, p)) continue;
+    CkptFileName p;
+    if (!parse_checkpoint_name(n, p)) continue;
     // Released (superseded-round) stages keep their files but have no
     // memory-tier claim — resurrecting them would undo the release.
     if (p.stage < released_below_) continue;
-    std::string base = n;
-    if (const auto dpos = base.rfind("_d"); dpos != std::string::npos) {
-      base.resize(dpos);
-    }
-    const std::string mpath = rank_dir + "/" + base;
+    const std::string mpath = rank_dir + "/" + strip_drain_stamp(n);
     if (!mem.holders_of(mpath).empty()) continue;  // pass 1 territory
     Bytes raw;
     double cost = 0.0;
@@ -693,7 +608,7 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
     comm.compute(cost);
     Bytes payload;
     if (!unframe_checkpoint(raw, payload).ok()) continue;
-    push_to(rank_, mpath, raw, {});
+    healed += push_replicas(comm, rank_, live, mpath, raw, {});
   }
 
   if (healed > 0) {
@@ -707,15 +622,15 @@ Status CheckpointManager::rereplicate(simmpi::Comm& comm) {
 
 std::set<int> CheckpointManager::stages_present(int src_rank, int src_node,
                                                 bool from_shared) const {
-  const std::string rank_dir = "ck/r" + std::to_string(src_rank);
+  const std::string rank_dir = checkpoint_rank_dir(src_rank);
   const storage::Tier tier =
       from_shared ? storage::Tier::kShared : storage::Tier::kLocal;
   std::vector<std::string> names;
   std::set<int> stages;
   if (!fs_->list_dir(tier, src_node, rank_dir, names).ok()) return stages;
   for (const std::string& n : names) {
-    ParsedName p;
-    if (parse_name(n, p)) stages.insert(p.stage);
+    CkptFileName p;
+    if (parse_checkpoint_name(n, p)) stages.insert(p.stage);
   }
   return stages;
 }
@@ -729,22 +644,35 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
                                         Bytes& payload, RankRecovery& out) {
   const bool from_shared = (tier == storage::Tier::kShared);
   const std::string path = rank_dir + "/" + name;
+  const std::string base = strip_drain_stamp(name);
   const double t0 = comm.now();
   Status last;
+
+  // Every fetched copy, from any rung, is CRC-verified and counted the same
+  // way: read on success, corrupt (the ladder moves on) on failure.
+  auto verify = [&](const Bytes& raw) -> Status {
+    const double v0 = comm.now();
+    Status v = unframe_checkpoint(raw, payload);
+    if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
+    if (v.ok()) {
+      out.files_read++;
+      out.bytes_read += raw.size();
+    } else {
+      integ_.corrupt_frames++;
+      out.corrupt_frames++;
+      if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
+      metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
+    }
+    return v;
+  };
 
   // 0) Memory tier: a surviving replica of the blob in some peer's RAM is
   //    the fastest source by orders of magnitude (wire vs shared-fs
   //    contention), so it is tried before any file I/O. Replicas are keyed
-  //    by base name — strip the shared tier's drain stamp. Every fetched
-  //    copy is CRC-verified like a file read; a corrupt replica falls to
-  //    the next holder, and an exhausted holder list falls down the file
-  //    ladder (counted as a miss) — the memory tier can only shortcut
-  //    recovery, never lose to it.
+  //    by base name. A corrupt replica falls to the next holder, and an
+  //    exhausted holder list falls down the file ladder (counted as a miss)
+  //    — the memory tier can only shortcut recovery, never lose to it.
   if (opts_.memory_replication_k > 0) {
-    std::string base = name;
-    if (const auto dpos = base.rfind("_d"); dpos != std::string::npos) {
-      base.resize(dpos);
-    }
     const std::string mpath = rank_dir + "/" + base;
     storage::ReplicaStore& mem = fs_->memory();
     for (int holder : mem.holders_of(mpath)) {
@@ -758,13 +686,8 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
         if (rel < 0) continue;
         if (auto s = comm.rma_get(rel, raw.size()); !s.ok()) continue;
       }
-      const double v0 = comm.now();
-      Status v = unframe_checkpoint(raw, payload);
-      if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
-      if (v.ok()) {
+      if (verify(raw).ok()) {
         integ_.replica_hits++;
-        out.files_read++;
-        out.bytes_read += raw.size();
         if (trace_) {
           trace_->span("ckpt.replica_fetch", "ckpt", t0, comm.now());
           trace_->span("ckpt.read", "ckpt", t0, comm.now());
@@ -774,10 +697,6 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
             "ckpt.replica_read_bytes", rank_, static_cast<double>(raw.size()));
         return Status::Ok();
       }
-      integ_.corrupt_frames++;
-      out.corrupt_frames++;
-      if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
-      metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
     }
     integ_.replica_misses++;
     metrics::MetricsRegistry::global().add("ckpt.replica_misses", rank_);
@@ -797,20 +716,10 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
                                     from_shared ? conc_ : 1);
     if (s.ok()) {
       comm.compute(cost);
-      const double v0 = comm.now();
-      Status v = unframe_checkpoint(raw, payload);
-      if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
-      if (v.ok()) {
-        out.files_read++;
-        out.bytes_read += raw.size();
+      last = verify(raw);
+      if (last.ok()) {
         if (trace_) trace_->span("ckpt.read", "ckpt", t0, comm.now());
         return Status::Ok();
-      } else {
-        integ_.corrupt_frames++;
-        out.corrupt_frames++;
-        if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
-        metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
-        last = v;
       }
     } else {
       last = s;
@@ -825,62 +734,44 @@ Status CheckpointManager::read_verified(simmpi::Comm& comm, storage::Tier tier,
   }
 
   // 2) The other tier's replica. Reading shared (detect/resume): a process
-  //    crash leaves the dead rank's node-local file intact — strip the
-  //    drain stamp to find it. Reading local (restart): the drained shared
-  //    copy carries a stamp suffix — search the shared listing for it.
+  //    crash leaves the dead rank's node-local file intact under the base
+  //    name. Reading local (restart): the drained shared copy carries a
+  //    stamp suffix — search the shared listing for it.
   Bytes raw;
   double cost = 0.0;
   Status fb;
   if (from_shared) {
-    std::string local_name = name;
-    if (const auto pos = local_name.rfind("_d"); pos != std::string::npos) {
-      local_name.resize(pos);
-    }
-    fb = fs_->read_file(storage::Tier::kLocal, src_node,
-                        rank_dir + "/" + local_name, raw, &cost, 1);
+    fb = fs_->read_file(storage::Tier::kLocal, src_node, rank_dir + "/" + base,
+                        raw, &cost, 1);
   } else {
     if (other_tier_listing->empty()) {
       (void)fs_->list_dir(storage::Tier::kShared, src_node, rank_dir,
                           *other_tier_listing);
     }
-    std::string found;
-    for (const std::string& cand : *other_tier_listing) {
-      if (cand == name ||
-          (cand.size() > name.size() + 2 &&
-           cand.compare(0, name.size(), name) == 0 &&
-           cand.compare(name.size(), 2, "_d") == 0)) {
-        found = cand;
-        break;
-      }
-    }
-    fb = found.empty()
+    const auto found =
+        std::find_if(other_tier_listing->begin(), other_tier_listing->end(),
+                     [&](const std::string& cand) {
+                       return strip_drain_stamp(cand) == name;
+                     });
+    fb = found == other_tier_listing->end()
              ? Status{ErrorCode::kNotFound, "no shared replica of " + path}
              : fs_->read_file(storage::Tier::kShared, src_node,
-                              rank_dir + "/" + found, raw, &cost, conc_);
+                              rank_dir + "/" + *found, raw, &cost, conc_);
   }
   if (fb.ok()) {
     comm.compute(cost);
-    const double v0 = comm.now();
-    Status v = unframe_checkpoint(raw, payload);
-    if (trace_) trace_->span("ckpt.crc", "ckpt", v0, comm.now());
+    const Status v = verify(raw);
     if (v.ok()) {
       integ_.tier_fallbacks++;
       out.tier_fallbacks++;
-      out.files_read++;
-      out.bytes_read += raw.size();
       if (trace_) {
         trace_->instant("ckpt.tier_fallback", "ckpt", comm.now());
         trace_->span("ckpt.read", "ckpt", t0, comm.now());
       }
       metrics::MetricsRegistry::global().add("ckpt.tier_fallbacks", rank_);
       return Status::Ok();
-    } else {
-      integ_.corrupt_frames++;
-      out.corrupt_frames++;
-      if (trace_) trace_->instant("ckpt.corrupt", "ckpt", comm.now());
-      metrics::MetricsRegistry::global().add("ckpt.corrupt_frames", rank_);
-      last = v;
     }
+    last = v;
   } else if (!last.ok() && last.code() == ErrorCode::kNotFound) {
     last = fb;
   }
@@ -904,7 +795,7 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
                                           bool from_shared, double horizon,
                                           RankRecovery& out,
                                           const LoadFilter& filter) {
-  const std::string rank_dir = "ck/r" + std::to_string(src_rank);
+  const std::string rank_dir = checkpoint_rank_dir(src_rank);
   const storage::Tier tier =
       from_shared ? storage::Tier::kShared : storage::Tier::kLocal;
   std::vector<std::string> names;
@@ -918,13 +809,7 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
   // rma push completed, which is exactly the tail the file tiers lose.
   if (opts_.memory_replication_k > 0) {
     std::set<std::string> have;
-    for (const std::string& n : names) {
-      std::string base = n;
-      if (const auto dpos = base.rfind("_d"); dpos != std::string::npos) {
-        base.resize(dpos);
-      }
-      have.insert(std::move(base));
-    }
+    for (const std::string& n : names) have.insert(strip_drain_stamp(n));
     const std::string prefix = rank_dir + "/";
     for (const std::string& p : fs_->memory().all_paths()) {
       if (p.size() <= prefix.size() || p.compare(0, prefix.size(), prefix) != 0) {
@@ -938,10 +823,10 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
   // Sorted names give sequence order per (kind, id). Filter to this stage,
   // to the caller's assigned tasks/partitions, and (for shared reads) to
   // checkpoints drained before the horizon.
-  std::vector<std::pair<ParsedName, std::string>> files;
+  std::vector<std::pair<CkptFileName, std::string>> files;
   for (const std::string& n : names) {
-    ParsedName p;
-    if (!parse_name(n, p)) continue;
+    CkptFileName p;
+    if (!parse_checkpoint_name(n, p)) continue;
     if (p.stage != stage) continue;
     if (from_shared && horizon >= 0.0 &&
         p.drained_usec > static_cast<int64_t>(horizon * 1e6)) {
@@ -1015,28 +900,9 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
         mr::KvBuffer delta;
         if (auto s = delta.adopt(std::move(blob)); !s.ok()) return s;
         auto& mt = out.map_tasks[task];
-        // The delta covers records [start, pos). It may only be merged if
-        // it extends the accumulated chain contiguously; map re-execution
-        // is deterministic, so a chain restarted from 0 by a later
-        // incarnation carries the *same* records as the prefix it shadows —
-        // merging both would replay them twice (the duplication bug the
-        // schedule explorer caught under CR kills in two consecutive
-        // submissions).
-        if (start != mt.pos) {
-          if (start == 0 && pos <= mt.pos) {
-            return Status::Ok();  // duplicate prefix of what is already applied
-          }
-          if (start == 0) {
-            mt.kv = mr::KvBuffer();  // restart supersedes the shorter prefix
-          } else {
-            // Gap or partial overlap: a flat KV blob cannot be split, so the
-            // verified prefix stays and the tail is reprocessed from input.
-            poisoned.insert({p.kind, p.id});
-            return Status::Ok();
-          }
+        if (!extend_chain(start, pos, delta, mt.pos, mt.kv)) {
+          poisoned.insert({p.kind, p.id});
         }
-        mt.pos = pos;
-        mt.kv.merge_from(delta);
       } else if (p.kind == kPart) {
         int32_t part = 0;
         Bytes blob;
@@ -1061,21 +927,9 @@ Status CheckpointManager::load_rank_stage(simmpi::Comm& comm, int stage,
         mr::KvBuffer delta;
         if (auto s = delta.adopt(std::move(blob)); !s.ok()) return s;
         auto& rr = out.reduce[part];
-        // Same chain-contiguity rule as map deltas (reduce over a given
-        // partition snapshot is deterministic, entry order is sorted).
-        if (start != rr.entries_done) {
-          if (start == 0 && done <= rr.entries_done) {
-            return Status::Ok();
-          }
-          if (start == 0) {
-            rr.out = mr::KvBuffer();
-          } else {
-            poisoned.insert({p.kind, p.id});
-            return Status::Ok();
-          }
+        if (!extend_chain(start, done, delta, rr.entries_done, rr.out)) {
+          poisoned.insert({p.kind, p.id});
         }
-        rr.entries_done = done;
-        rr.out.merge_from(delta);
       } else if (p.kind == kOut) {
         int32_t part = 0;
         Bytes blob;

@@ -28,6 +28,7 @@
 // dies before the copier catches up.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -176,11 +177,16 @@ class CheckpointManager {
   /// both would replay the overlap twice.
   Status map_ckpt(simmpi::Comm& comm, int stage, uint64_t task, uint64_t start,
                   uint64_t pos, const mr::KvBuffer& delta);
-  /// Shuffle-end partition checkpoint of a partition store. The writer
+  /// Shuffle-end partition checkpoint of a partition store. The producer
   /// follows the store: an in-memory store (one that cannot spill) is
   /// framed whole and written with one put(), replicated to the memory tier
-  /// like every other checkpoint; a spill-backed store is streamed (see
-  /// stream_partition_ckpt). Both produce byte-identical files.
+  /// like every other checkpoint; a spill-backed store is streamed — frame
+  /// header first, then one append per KV page (spilled pages load one at
+  /// a time and stay intact), CRC accumulated incrementally, trailer last,
+  /// then a size probe — so the partition is never whole in memory, and is
+  /// not replicated (a full in-RAM replica would re-buy exactly the
+  /// residency the spill budget gave up). Both produce byte-identical files
+  /// through the same write_ckpt ladder.
   Status partition_ckpt(simmpi::Comm& comm, int stage, int partition,
                         mr::SpillableKvBuffer& kv);
   /// Reduce-progress checkpoint; the delta covers KMV entries
@@ -271,21 +277,26 @@ class CheckpointManager {
   }
 
  private:
+  /// Writes one checkpoint file once, from scratch, to (tier, path) at the
+  /// given I/O concurrency, charging its modeled cost as it goes.
+  using WriteOnce = std::function<Status(storage::Tier tier,
+                                         const std::string& path,
+                                         int concurrency)>;
+  /// The one checkpoint write path: placement (local, local + copier
+  /// drain, or shared-direct with a stamp), the retry ladder with its
+  /// best-effort drop, and the write bookkeeping (counters, ckpt.frame and
+  /// ckpt.write spans). `write_once` produces the `framed_size`-byte file;
+  /// the framing began at `t0`. Only a `whole_frame` (a frame already in
+  /// memory) is replicated to the memory tier. `pages`, if set, is the
+  /// spill-backed store a streamed file was read from: its page re-load I/O
+  /// elapses at the checkpoint boundary.
+  Status write_ckpt(simmpi::Comm& comm, double t0, const std::string& name,
+                    uint64_t framed_size, const WriteOnce& write_once,
+                    const Bytes* whole_frame, mr::SpillableKvBuffer* pages);
+  /// Frame `payload` whole and write it with one write_file per attempt.
   Status put(simmpi::Comm& comm, const std::string& name, const Bytes& payload);
-  /// partition_ckpt for a spill-backed store, written as a stream — frame
-  /// header first, then one append per KV page (spilled pages are loaded
-  /// one at a time and stay intact), CRC accumulated incrementally, trailer
-  /// last — so the whole partition is never materialized in memory. A
-  /// failed or torn stream restarts the file on the retry ladder and is
-  /// dropped (best-effort, like every checkpoint write) if the ladder is
-  /// exhausted. No memory-tier replication: a full in-RAM replica would
-  /// re-buy exactly the residency the spill budget gave up (ReStore-style
-  /// budget honesty), so recovery for these files goes straight to the
-  /// file tiers.
-  Status stream_partition_ckpt(simmpi::Comm& comm, int stage, int partition,
-                               mr::SpillableKvBuffer& kv);
-  Status put_impl(simmpi::Comm& comm, const std::string& name,
-                  const Bytes& framed);
+  /// Elapse `seconds` of checkpoint write time on the writer's clock.
+  void charge_write(simmpi::Comm& comm, double seconds);
   /// Copier-drain a just-written local checkpoint to the shared tier and
   /// stamp the shared copy with its drain-completion time. Degrades (counts
   /// a drain failure) instead of failing: the local copy stays readable.
@@ -295,6 +306,14 @@ class CheckpointManager {
   /// the rma op propagates like any MPI death).
   void replicate(simmpi::Comm& comm, const std::string& name,
                  const Bytes& framed);
+  /// Push `framed` as memory-tier blob `mpath` to every placement target of
+  /// `owner` over `live` that is not among `holders`. Shared by write-time
+  /// replication and rereplicate(); every lost push (dead target, failed
+  /// rma, failed deposit) is counted in integrity() and in the
+  /// ckpt.replica_push_failures counter. Returns the pushes that landed.
+  int push_replicas(simmpi::Comm& comm, int owner, const std::vector<int>& live,
+                    const std::string& mpath, const Bytes& framed,
+                    const std::vector<int>& holders);
   /// Live global ranks of `comm`, ascending.
   static std::vector<int> live_ranks(const simmpi::Comm& comm);
   /// Read `rank_dir`/`name` from `tier` and return its verified payload.

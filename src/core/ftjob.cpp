@@ -1161,17 +1161,7 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
             continue;
           }
           if (rit->second.pos <= tp.pos) continue;   // already have newer
-          tp.pos = rit->second.pos;
-          tp.last_ckpt_pos = tp.pos;
-          tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
-          if (!opts_.testing_break_recovery) {
-            const mr::KvBuffer& rkv = rit->second.kv;
-            for (size_t i = 0; i < rkv.size(); ++i) {
-              tp.parts[static_cast<size_t>(partition_of_key(rkv.view(i).key, p0_))]
-                  .append_record_from(rkv, i);
-            }
-          }
-          tp.pending_delta.clear();
+          restore_map_task(tp, rit->second);
         }
       } else {  // kPhaseShuffleDone: adopt partition + reduce progress
         for (int p : my_new_parts) {
@@ -1199,15 +1189,31 @@ void FtJob::patch_state_after_shrink(const std::vector<int>& new_dead) {
           adopt_partition(st, sid, p, std::move(pit->second));
           auto rrit = rec.reduce.find(p);
           if (rrit != rec.reduce.end()) {
-            ReduceProgress& rp = st.reduce[p];
-            rp.entries_done = rrit->second.entries_done;
-            rp.last_ckpt_entries = rp.entries_done;
-            rp.out = std::move(rrit->second.out);
+            restore_reduce(st.reduce[p], std::move(rrit->second));
           }
         }
       }
     }
   }
+}
+
+void FtJob::restore_map_task(TaskProgress& tp,
+                             const RankRecovery::MapTask& rec) const {
+  tp.pos = rec.pos;
+  tp.last_ckpt_pos = rec.pos;
+  tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
+  tp.pending_delta.clear();
+  if (opts_.testing_break_recovery) return;  // drop the KV, keep the cursor
+  for (size_t i = 0; i < rec.kv.size(); ++i) {
+    tp.parts[static_cast<size_t>(partition_of_key(rec.kv.view(i).key, p0_))]
+        .append_record_from(rec.kv, i);
+  }
+}
+
+void FtJob::restore_reduce(ReduceProgress& rp, RankRecovery::Reduce&& rec) {
+  rp.entries_done = rec.entries_done;
+  rp.last_ckpt_entries = rec.entries_done;
+  rp.out = std::move(rec.out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1293,27 +1299,12 @@ void FtJob::prime_from_own_checkpoints() {
     // The stage every rank resumes in. Cap my state at the agreed phase.
     st.phase = std::min<int>(agreed_phase, kPhaseShuffleDone);
     // Map progress is always usable.
-    for (auto& [t, mrec] : rec.map_tasks) {
-      TaskProgress& tp = st.tasks[t];
-      tp.pos = mrec.pos;
-      tp.last_ckpt_pos = mrec.pos;
-      tp.parts.assign(static_cast<size_t>(p0_), mr::KvBuffer{});
-      if (opts_.testing_break_recovery) continue;  // drop the KV, keep the cursor
-      for (size_t i = 0; i < mrec.kv.size(); ++i) {
-        tp.parts[static_cast<size_t>(partition_of_key(mrec.kv.view(i).key, p0_))]
-            .append_record_from(mrec.kv, i);
-      }
-    }
+    for (const auto& [t, mrec] : rec.map_tasks) restore_map_task(st.tasks[t], mrec);
     if (st.phase >= kPhaseShuffleDone) {
       for (auto& [p, kv] : rec.partitions) {
         adopt_partition(st, sid, p, std::move(kv));
       }
-      for (auto& [p, rrec] : rec.reduce) {
-        ReduceProgress& rp = st.reduce[p];
-        rp.entries_done = rrec.entries_done;
-        rp.last_ckpt_entries = rrec.entries_done;
-        rp.out = std::move(rrec.out);
-      }
+      for (auto& [p, rrec] : rec.reduce) restore_reduce(st.reduce[p], std::move(rrec));
     }
   }
   primed_from_ckpt_ = !stages_.empty();

@@ -328,6 +328,12 @@ class FtJob {
   /// Replace owned partition p's store with a recovered partition (WC
   /// adoption and CR priming).
   void adopt_partition(StageState& st, int stage, int p, mr::KvBuffer&& kv);
+  /// Restore a map task's recovered progress (WC adoption and CR priming):
+  /// its cursor and, unless recovery is deliberately broken for a mutation
+  /// test, its checkpointed KV split into the task's partitions.
+  void restore_map_task(TaskProgress& tp, const RankRecovery::MapTask& rec) const;
+  /// Restore a partition's recovered reduce progress (WC and CR alike).
+  static void restore_reduce(ReduceProgress& rp, RankRecovery::Reduce&& rec);
   /// Decode an alltoall receive buffer and absorb its blocks into the
   /// owned-partition stores; `pairs_received`, if set, accumulates the
   /// record count for the shuffle tap.
@@ -335,8 +341,6 @@ class FtJob {
                                size_t* pairs_received);
   void recover();
   void patch_state_after_shrink(const std::vector<int>& new_dead);
-  Status load_dead_state_wc(int dead_rank, const std::vector<int>& my_new_tasks,
-                            const std::vector<int>& my_new_parts);
   void prime_from_own_checkpoints();
   [[nodiscard]] std::vector<uint64_t> my_task_ids(int stage, bool kv_input) const;
   [[nodiscard]] std::string chunk_name(uint64_t task) const;

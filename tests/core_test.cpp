@@ -16,6 +16,7 @@
 #include "core/master.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
+#include "tests/test_names.hpp"
 
 namespace ftmr::core {
 namespace {
@@ -438,7 +439,7 @@ TEST_P(Redistribution, ReassignedBytesMatchDeadRanksRemainingBytes) {
   for (int i = 0; i < kChunks; ++i) {
     std::string text;
     for (int j = 0; j < 4 + 9 * i; ++j) {
-      text += "w" + std::to_string((i * 7 + j) % 13) + " common\n";
+      text += tests::numbered("w", (i * 7 + j) % 13) + " common\n";
     }
     char name[32];
     std::snprintf(name, sizeof(name), "chunk_%04d", i);
@@ -762,7 +763,7 @@ TEST(Master, FailureFreeJobDrainsEveryStatusMessage) {
   storage::StorageSystem fs(so);
   for (int i = 0; i < 6; ++i) {
     std::string text;
-    for (int j = 0; j < 20; ++j) text += "w" + std::to_string((i + j) % 7) + "\n";
+    for (int j = 0; j < 20; ++j) text += tests::numbered("w", (i + j) % 7) + "\n";
     ASSERT_TRUE(fs.write_file(storage::Tier::kShared, 0,
                               "input/chunk_" + std::to_string(i),
                               as_bytes_view(text)).ok());

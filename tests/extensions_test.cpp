@@ -9,6 +9,7 @@
 #include "core/ftjob.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
+#include "tests/test_names.hpp"
 
 namespace ftmr {
 namespace {
@@ -204,7 +205,7 @@ TEST(CustomReader, RecoveryUsesCustomSkip) {
   for (int i = 0; i < 8; ++i) {
     std::string text;
     for (int j = 0; j < 40; ++j) {
-      const std::string w = "t" + std::to_string((i + j) % 9);
+      const std::string w = tests::numbered("t", (i + j) % 9);
       text += w + ";";
       expected[w]++;
     }

@@ -13,6 +13,7 @@
 #include "simmpi/runtime.hpp"
 #include "storage/copier.hpp"
 #include "storage/storage.hpp"
+#include "tests/test_names.hpp"
 #include "tests/test_seed.hpp"
 
 namespace ftmr::core {
@@ -154,7 +155,7 @@ TEST_F(InjectorTest, SameSeedSameFaultSequence) {
     fs_->set_fault_injector(fc);
     for (int i = 0; i < 64; ++i) {
       outcomes.push_back(
-          fs_->write_file(storage::Tier::kShared, 0, "f" + std::to_string(i),
+          fs_->write_file(storage::Tier::kShared, 0, tests::numbered("f", i),
                           as_bytes_view("x")).ok());
     }
     fs_->clear_fault_injector();
@@ -334,6 +335,135 @@ TEST_F(IntegrityCkptFixture, PoisonedDeltaChainKeepsVerifiedPrefixOnly) {
     ASSERT_EQ(rec.map_tasks[5].kv.size(), 1u);
     EXPECT_EQ(rec.map_tasks[5].kv.view(0).key, "a");
     EXPECT_EQ(rec.quarantined, 1u);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// The one write ladder, driven by both producers: a whole frame (an
+// in-memory store) and a stream (a store whose pages spill).
+// ---------------------------------------------------------------------------
+
+/// A partition store holding the same 100 pairs: in memory (framed whole)
+/// when `spill_fs` is null, else spilling 512-byte pages to it (streamed).
+mr::SpillableKvBuffer ladder_store(storage::StorageSystem* spill_fs) {
+  mr::SpillableKvBuffer s(spill_fs, 0, "spill/ckpt", /*page_bytes=*/512,
+                          /*memory_budget=*/1024);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(s.add(tests::numbered("key-", i % 17),
+                      std::string(static_cast<size_t>(1 + i % 29), 'v'))
+                    .ok());
+  }
+  EXPECT_EQ(s.can_spill(), spill_fs != nullptr);
+  return s;
+}
+
+CkptOptions local_only() {
+  CkptOptions o;
+  o.location = CkptOptions::Location::kLocalOnly;
+  return o;
+}
+
+/// Whether the ladder's partition checkpoint on `fs`'s local tier verifies.
+bool valid_ladder_file(storage::StorageSystem& fs) {
+  Bytes raw, payload;
+  return fs.read_file(storage::Tier::kLocal, 0,
+                      "ck/r0/part_s000_p000000000003_q000000", raw)
+             .ok() &&
+         unframe_checkpoint(raw, payload).ok();
+}
+
+/// Parameter: true drives the streamed producer, false the whole frame.
+struct WriteLadderFixture : ::testing::TestWithParam<bool> {
+  WriteLadderFixture() : tmp("ftmr-integrity-ladder") {}
+  mr::SpillableKvBuffer store(storage::StorageSystem& spill_fs) const {
+    return ladder_store(GetParam() ? &spill_fs : nullptr);
+  }
+  std::unique_ptr<storage::StorageSystem> make_fs(const std::string& sub,
+                                                  bool local_disk = true) const {
+    storage::StorageOptions o;
+    o.root = tmp.path() / sub;
+    o.has_local_disk = local_disk;
+    return std::make_unique<storage::StorageSystem>(o);
+  }
+  storage::TempDir tmp;
+};
+
+TEST_P(WriteLadderFixture, TransientFailuresRetryToAValidFile) {
+  const int max_attempts = storage::RetryPolicy{}.max_attempts;
+  for (int n = 1; n < max_attempts; ++n) {
+    auto fs = make_fs(tests::numbered("n", n));
+    Runtime::run(1, [&](Comm& c) {
+      auto part = store(*fs);
+      CheckpointManager cm(fs.get(), 0, 0, local_only(), 1);
+      fs->inject_io_failures(n);
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part).ok());
+      EXPECT_TRUE(valid_ladder_file(*fs)) << "n=" << n;
+      EXPECT_EQ(cm.integrity().io_retries, n);
+      EXPECT_EQ(cm.integrity().ckpt_write_failures, 0);
+      EXPECT_EQ(fs->fault_stats().count_failures, n);
+    });
+  }
+}
+
+TEST_P(WriteLadderFixture, ExhaustedLadderDropsTheCheckpoint) {
+  const int max_attempts = storage::RetryPolicy{}.max_attempts;
+  auto fs = make_fs("drop");
+  Runtime::run(1, [&](Comm& c) {
+    auto part = store(*fs);
+    CheckpointManager cm(fs.get(), 0, 0, local_only(), 1);
+    fs->inject_io_failures(max_attempts);
+    // Best-effort: the job goes on, the checkpoint is counted as lost.
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part).ok());
+    EXPECT_EQ(cm.integrity().ckpt_write_failures, 1);
+    EXPECT_EQ(cm.integrity().io_retries, max_attempts - 1);
+    EXPECT_FALSE(valid_ladder_file(*fs));
+  });
+}
+
+TEST_P(WriteLadderFixture, NoLocalDiskIsAPreconditionNotADrop) {
+  // The stream's spilled pages live on their own disk; only the
+  // checkpoint placement lacks one.
+  auto spill_fs = make_fs("spill");
+  auto fs = make_fs("nodisk", /*local_disk=*/false);
+  Runtime::run(1, [&](Comm& c) {
+    auto part = store(*spill_fs);
+    CheckpointManager cm(fs.get(), 0, 0, local_only(), 1);
+    EXPECT_EQ(cm.partition_ckpt(c, 0, 3, part).code(),
+              ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(cm.integrity().io_retries, 0);
+    EXPECT_EQ(cm.integrity().ckpt_write_failures, 0);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Producers, WriteLadderFixture, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Streamed" : "WholeFrame";
+                         });
+
+TEST(WriteLadder, StreamedTornWritesAreProbedRetriedThenDropped) {
+  storage::TempDir tmp("ftmr-integrity-torn-stream");
+  storage::StorageOptions so;
+  so.root = tmp.path();
+  storage::StorageSystem fs(so);
+  const int max_attempts = storage::RetryPolicy{}.max_attempts;
+  Runtime::run(1, [&](Comm& c) {
+    auto part = ladder_store(&fs);
+    ASSERT_GT(part.spilled_page_count(), 0u);
+    // Every write and append to the checkpoint claims success but persists
+    // a strict prefix; the spill pages stay out of the filter's reach.
+    storage::FaultInjectorConfig fc;
+    fc.local.p_torn_write = 1.0;
+    fc.path_filter = "part_";
+    fs.set_fault_injector(fc);
+    CheckpointManager cm(&fs, 0, 0, local_only(), 1);
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part).ok());
+    fs.clear_fault_injector();
+    // Only the size probe can see these tears: each attempt retried, then
+    // the checkpoint dropped, and the torn remnant never verifies.
+    EXPECT_EQ(cm.integrity().io_retries, max_attempts - 1);
+    EXPECT_EQ(cm.integrity().ckpt_write_failures, 1);
+    EXPECT_GE(fs.fault_stats().torn_writes, max_attempts);
+    EXPECT_FALSE(valid_ladder_file(fs));
   });
 }
 

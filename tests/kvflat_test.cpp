@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "mr/convert.hpp"
 #include "mr/kv.hpp"
+#include "tests/test_names.hpp"
 #include "tests/test_seed.hpp"
 
 namespace {
@@ -20,6 +21,7 @@ using ftmr::Bytes;
 using ftmr::ErrorCode;
 using ftmr::Rng;
 using ftmr::Status;
+using ftmr::tests::numbered;
 using ftmr::tests::test_seed;
 using ftmr::mr::KmvBuffer;
 using ftmr::mr::KvBuffer;
@@ -147,7 +149,7 @@ TEST(KvFlat, ConvertGroupingMatchesReferenceModel) {
   for (size_t i = 0; i < 400; ++i) {
     // Skewed keys so chains span several segments; value sizes straddle the
     // segment size now and then.
-    std::string key = "k" + std::to_string(rng.next_below(17));
+    std::string key = numbered("k", rng.next_below(17));
     size_t vlen = rng.next_below(10) == 0 ? 5000 : rng.next_below(40);
     ref.emplace_back(std::move(key), random_blob(rng, vlen));
   }

@@ -9,6 +9,7 @@
 #include "mr/convert.hpp"
 #include "mr/shuffle.hpp"
 #include "storage/storage.hpp"
+#include "tests/test_names.hpp"
 #include "tests/test_seed.hpp"
 
 namespace ftmr::mr {
@@ -79,8 +80,8 @@ KvBuffer random_kv(uint64_t seed, int npairs, int nkeys) {
   KvBuffer kv;
   Rng rng(seed);
   for (int i = 0; i < npairs; ++i) {
-    kv.add("k" + std::to_string(rng.next_below(nkeys)),
-           "v" + std::to_string(rng.next_u64() % 1000));
+    kv.add(tests::numbered("k", rng.next_below(nkeys)),
+           tests::numbered("v", rng.next_u64() % 1000));
   }
   return kv;
 }
@@ -176,7 +177,7 @@ struct SpillFixture : ::testing::Test {
 TEST_F(SpillFixture, SmallDataStaysInMemory) {
   ftmr::mr::SpillableKvBuffer buf(fs.get(), 0, "spill", 1 << 10, 1 << 20);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(buf.add("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(buf.add(ftmr::tests::numbered("k", i), "v").ok());
   }
   EXPECT_EQ(buf.size(), 10u);
   EXPECT_EQ(buf.stats().pages_spilled, 0);
@@ -214,8 +215,8 @@ TEST_F(SpillFixture, DrainEquivalentToPlainBuffer) {
   ftmr::mr::KvBuffer plain;
   ftmr::Rng rng(99);
   for (int i = 0; i < 300; ++i) {
-    const std::string k = "k" + std::to_string(rng.next_below(40));
-    const std::string v = "v" + std::to_string(rng.next_u64() % 1000);
+    const std::string k = ftmr::tests::numbered("k", rng.next_below(40));
+    const std::string v = ftmr::tests::numbered("v", rng.next_u64() % 1000);
     ASSERT_TRUE(spilled.add(k, v).ok());
     plain.add(k, v);
   }

@@ -18,6 +18,7 @@
 #include "mr/convert.hpp"
 #include "simmpi/runtime.hpp"
 #include "storage/storage.hpp"
+#include "tests/test_names.hpp"
 #include "tests/test_seed.hpp"
 
 namespace ftmr::mr {
@@ -106,7 +107,7 @@ TEST(SpillBudget, ResidencyCountsOpenPage) {
   SpillableKvBuffer buf(cl.fs.get(), 0, "spill", kPage, kBudget);
   const std::string val(100, 'v');
   for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(buf.add("k" + std::to_string(i), val).ok());
+    ASSERT_TRUE(buf.add(tests::numbered("k", i), val).ok());
     // The budget bounds closed resident pages PLUS the open page. (The
     // pre-fix code kept budget + page_bytes resident: resident_ was only
     // compared against the budget after excluding the open page.)
@@ -123,7 +124,7 @@ TEST(SpillBudget, SinglePageLargerThanBudgetSpillsOnClose) {
   SpillableKvBuffer buf(cl.fs.get(), 0, "spill", 4096, 1024);
   const std::string val(200, 'v');
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(buf.add("k" + std::to_string(i), val).ok());
+    ASSERT_TRUE(buf.add(tests::numbered("k", i), val).ok());
     ASSERT_LE(buf.resident_bytes(), 4096u + 256u);
   }
   EXPECT_GT(buf.stats().pages_spilled, 0);
@@ -238,7 +239,7 @@ TEST(SpillFaultMatrix, NoPairLostOrDuplicatedUnderInjectedFaults) {
   Rng rng(tests::test_seed(0x0c2));
   std::map<std::string, int64_t> want;
   for (int i = 0; i < 3000; ++i) {
-    const std::string k = "k" + std::to_string(rng.next_below(500));
+    const std::string k = tests::numbered("k", rng.next_below(500));
     const std::string v(1 + rng.next_below(40), 'x');
     ASSERT_TRUE(buf.add(k, v).ok());
     want[k]++;

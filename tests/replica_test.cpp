@@ -344,6 +344,61 @@ TEST_F(ReplicaCkptFixture, CorruptedReplicasFallBackToFileTiers) {
   });
 }
 
+TEST_F(ReplicaCkptFixture, RereplicationCountsEveryLostPushInBothCounters) {
+  // ppn=1, k=2 over 5 ranks: after one holder dies, owner 0 still has three
+  // eligible peers, so repair must push to a fresh target — and every such
+  // push is lost to the armed memory-tier write fault.
+  constexpr int kRanks = 5;
+  const std::vector<int> placed = replica_placement(0, 2, iota_live(kRanks), 1);
+  ASSERT_EQ(placed.size(), 2u);
+  const int victim = placed.front();
+  metrics::MetricsRegistry& reg = metrics::MetricsRegistry::global();
+  reg.reset();
+  std::vector<core::IntegrityStats> integ(kRanks);
+  simmpi::JobOptions jo;
+  jo.kills.push_back({victim, 1.0, -1});
+  jo.on_rank_death = [&](int r) { fs->memory().wipe_rank(r); };
+  Runtime::run(kRanks, [&](Comm& c) {
+    CkptOptions o;
+    o.memory_replication_k = 2;
+    CheckpointManager cm(fs.get(), c.rank(), c.rank(), o, 1, /*ppn=*/1);
+    if (c.rank() == 0) {
+      auto part3 = store({{"k", "v"}});
+      ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
+      storage::FaultInjectorConfig fc;
+      fc.memory.p_write_fail = 1.0;
+      fs->set_fault_injector(fc);
+    }
+    ASSERT_TRUE(c.barrier().ok());
+    if (c.rank() == victim) {
+      c.compute(2.0);  // dies here, taking one replica with it
+      return;
+    }
+    while (c.failed_ranks().empty()) {
+    }
+    Comm shrunk;
+    ASSERT_TRUE(c.shrink(shrunk).ok());
+    ASSERT_TRUE(cm.rereplicate(shrunk).ok());
+    integ[static_cast<size_t>(c.rank())] = cm.integrity();
+  }, jo);
+
+  int64_t lost = 0, healed = 0;
+  double lost_counted = 0.0, healed_counted = 0.0, pushes_counted = 0.0;
+  for (int r = 0; r < kRanks; ++r) {
+    lost += integ[static_cast<size_t>(r)].replica_push_failures;
+    healed += integ[static_cast<size_t>(r)].rereplications;
+    lost_counted += reg.counter("ckpt.replica_push_failures", r);
+    healed_counted += reg.counter("ckpt.rereplications", r);
+    pushes_counted += reg.counter("ckpt.replica_pushes", r);
+  }
+  EXPECT_GE(lost, 1);
+  EXPECT_EQ(lost_counted, static_cast<double>(lost));
+  EXPECT_EQ(healed, 0);
+  EXPECT_EQ(healed_counted, 0.0);
+  // Write-time pushes only: the two placed at checkpoint time.
+  EXPECT_EQ(pushes_counted, 2.0);
+}
+
 // ---------------------------------------------------------------------------
 // End to end: fault schedules with memory replicas as the primary source
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "simmpi/runtime.hpp"
+#include "tests/test_names.hpp"
 #include "tests/test_seed.hpp"
 
 namespace ftmr::simmpi {
@@ -200,12 +201,12 @@ TEST(Collectives, GatherVariableSizes) {
 
 TEST(Collectives, AllgatherEveryoneSeesAll) {
   Runtime::run(3, [](Comm& c) {
-    const std::string mine = "r" + std::to_string(c.rank());
+    const std::string mine = tests::numbered("r", c.rank());
     std::vector<Bytes> out;
     ASSERT_TRUE(c.allgather(as_bytes_view(mine), out).ok());
     ASSERT_EQ(out.size(), 3u);
     for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(to_string_copy(out[i]), "r" + std::to_string(i));
+      EXPECT_EQ(to_string_copy(out[i]), tests::numbered("r", i));
     }
   });
 }

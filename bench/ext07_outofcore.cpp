@@ -59,6 +59,8 @@ struct RunResult {
   bool ok = false;
   double makespan = 0.0;
   size_t peak_resident = 0;  // max over ranks of the residency high-water
+  int spill_files = 0;       // spill segment files created, summed over ranks
+  int spill_pages = 0;       // pages spilled, summed over ranks
 };
 
 RunResult run_job(storage::StorageSystem& fs, const std::string& in_dir,
@@ -87,6 +89,8 @@ RunResult run_job(storage::StorageSystem& fs, const std::string& in_dir,
     std::lock_guard<std::mutex> lock(mu);
     res.ok = res.ok && ok;
     res.peak_resident = std::max(res.peak_resident, job.residency().peak);
+    res.spill_files += job.residency().files_created;
+    res.spill_pages += job.residency().pages_spilled;
   });
   res.ok = res.ok && r.finished_count() == kRanks;
   res.makespan = r.makespan();
@@ -186,6 +190,10 @@ int main() {
                static_cast<double>(ooc.peak_resident));
     rep.metric("spill_write_bytes_" + tag, static_cast<double>(sw));
     rep.metric("spill_read_bytes_" + tag, static_cast<double>(sr));
+    // One append-only segment per store: files created stay far below
+    // pages spilled once the budget binds.
+    rep.metric("spill_files_" + tag, ooc.spill_files);
+    rep.metric("spill_pages_" + tag, ooc.spill_pages);
     all_parity = all_parity && parity;
     all_bounded = all_bounded && ooc.peak_resident <= kBudget * 3 / 2;
     if (ratio == 2) {

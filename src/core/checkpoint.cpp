@@ -226,6 +226,9 @@ Status CheckpointManager::write_ckpt(simmpi::Comm& comm, double t0,
   if (s.code() == ErrorCode::kFailedPrecondition) {
     result = s;
   } else if (!s.ok()) {
+    // The last attempt may have left a torn file; recovery would count it
+    // as corruption, but this checkpoint was simply never written.
+    (void)fs_->remove(tier, node_, path);
     integ_.ckpt_write_failures++;
     FTMR_WARN << "rank " << rank_ << " dropped checkpoint " << name << ": "
               << s.to_string();
@@ -332,22 +335,14 @@ Status CheckpointManager::drain_to_shared(simmpi::Comm& comm,
               << s.to_string();
     return Status::Ok();
   }
-  const std::string stamped = drain_stamped(probe, done_at);
-  // Rename the drained copy to carry its stamp. If the rename chain fails
-  // the unstamped probe remains readable, so this too degrades instead of
+  // Stamp the drained copy by renaming it. If the rename fails the
+  // unstamped probe remains readable, so this too degrades instead of
   // failing the job.
-  Bytes data;
-  if (auto s = fs_->read_file(storage::Tier::kShared, node_, probe, data);
-      !s.ok()) {
+  if (!fs_->rename(storage::Tier::kShared, node_, probe,
+                   drain_stamped(probe, done_at))
+           .ok()) {
     integ_.drain_failures++;
-    return Status::Ok();
   }
-  if (auto s = fs_->write_file(storage::Tier::kShared, node_, stamped, data);
-      !s.ok()) {
-    integ_.drain_failures++;
-    return Status::Ok();
-  }
-  (void)fs_->remove(storage::Tier::kShared, node_, probe);
   return Status::Ok();
 }
 
@@ -406,7 +401,7 @@ Status CheckpointManager::partition_ckpt(simmpi::Comm& comm, int stage,
   const Bytes prefix = std::move(w).take();
 
   // One streaming pass: prefix, then each page's wire body (spilled pages
-  // load one at a time and stay intact on their spill files), then the CRC
+  // load one at a time and stay intact in their spill segment), then the CRC
   // trailer accumulated across everything written. Appends cannot be
   // rewound, so each attempt first removes what an earlier one left. A
   // final size probe catches torn appends — a stream that raced a storage

@@ -298,8 +298,9 @@ class CheckpointManager {
   /// Elapse `seconds` of checkpoint write time on the writer's clock.
   void charge_write(simmpi::Comm& comm, double seconds);
   /// Copier-drain a just-written local checkpoint to the shared tier and
-  /// stamp the shared copy with its drain-completion time. Degrades (counts
-  /// a drain failure) instead of failing: the local copy stays readable.
+  /// stamp the shared copy with its drain-completion time by renaming it.
+  /// Degrades (counts a drain failure) instead of failing: the local copy
+  /// stays readable.
   Status drain_to_shared(simmpi::Comm& comm, const std::string& probe);
   /// Push the framed blob to the placement peers' memories (best-effort:
   /// lost pushes are counted, never fail the checkpoint; a kill landing on

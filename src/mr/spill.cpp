@@ -1,7 +1,6 @@
 #include "mr/spill.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/crc32.hpp"
 
@@ -41,7 +40,130 @@ Status unseal_page(Bytes& wire) {
   return Status::Ok();
 }
 
+/// Segment `name` under `cfg.dir`, or one that never spills (and holds no
+/// path) when `cfg` does not spill.
+SpillSegment segment_for(const SpillConfig& cfg, const char* name) {
+  if (!cfg.enabled()) return {};
+  return {cfg.fs, cfg.node, cfg.dir + "/" + name, cfg.meter};
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// SpillSegment
+// ---------------------------------------------------------------------------
+
+SpillSegment::SpillSegment(SpillSegment&& other) noexcept
+    : fs_(other.fs_), node_(other.node_), path_(std::move(other.path_)),
+      meter_(std::exchange(other.meter_, nullptr)), retry_(other.retry_),
+      end_(std::exchange(other.end_, 0)),
+      live_pages_(std::exchange(other.live_pages_, 0)),
+      exists_(std::exchange(other.exists_, false)),
+      stats_(std::exchange(other.stats_, {})),
+      pending_io_seconds_(std::exchange(other.pending_io_seconds_, 0.0)) {}
+
+SpillSegment& SpillSegment::operator=(SpillSegment&& other) noexcept {
+  if (this == &other) return *this;
+  (void)clear();
+  fs_ = other.fs_;
+  node_ = other.node_;
+  path_ = std::move(other.path_);
+  meter_ = std::exchange(other.meter_, nullptr);
+  retry_ = other.retry_;
+  end_ = std::exchange(other.end_, 0);
+  live_pages_ = std::exchange(other.live_pages_, 0);
+  exists_ = std::exchange(other.exists_, false);
+  stats_ = std::exchange(other.stats_, {});
+  pending_io_seconds_ = std::exchange(other.pending_io_seconds_, 0.0);
+  return *this;
+}
+
+Status SpillSegment::append(Bytes& wire, Extent& at) {
+  seal_page(wire);
+  const uint64_t len = wire.size();
+  Status last;
+  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+    if (attempt > 1) {
+      charge_io(retry_.backoff_before(attempt - 1));
+      stats_.write_retries++;
+    }
+    const bool fresh = live_pages_ == 0;
+    const uint64_t offset = fresh ? 0 : end_;
+    double cost = 0.0;
+    last = fresh ? fs_->write_file(storage::Tier::kLocal, node_, path_, wire,
+                                   &cost)
+                 : fs_->append_file(storage::Tier::kLocal, node_, path_, wire,
+                                    &cost);
+    // A torn write reports success but persists a strict prefix; the size
+    // probe is metadata-only and catches it before the page leaves memory.
+    const int64_t size = fs_->file_size(storage::Tier::kLocal, node_, path_);
+    if (size >= 0) {
+      if (!exists_) {
+        exists_ = true;
+        stats_.files_created++;
+        if (meter_ != nullptr) meter_->files_created++;
+      }
+      end_ = static_cast<uint64_t>(size);
+    }
+    if (!last.ok()) continue;
+    if (size < 0 || end_ != offset + len) {
+      last = {ErrorCode::kIo, "torn spill write detected"};
+      continue;
+    }
+    charge_io(cost);
+    at = {offset, len};
+    live_pages_++;
+    stats_.pages_spilled++;
+    stats_.bytes_spilled += len;
+    if (meter_ != nullptr) meter_->pages_spilled++;
+    return Status::Ok();
+  }
+  stats_.write_failures++;
+  if (live_pages_ == 0) (void)clear();  // only dead bytes: drop the file
+  wire.resize(len - kPageCrcBytes);
+  return last;
+}
+
+Status SpillSegment::load(Extent at,
+                          const std::function<Status(Bytes&&)>& accept) {
+  Status last;
+  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+    if (attempt > 1) {
+      charge_io(retry_.backoff_before(attempt - 1));
+      stats_.read_retries++;
+    }
+    Bytes wire;
+    double cost = 0.0;
+    last = fs_->read_range(storage::Tier::kLocal, node_, path_, at.offset,
+                           at.len, wire, &cost);
+    if (!last.ok()) continue;  // clean read failures are transient
+    // The CRC trailer plus the decoder's structural validation catch any
+    // bit flip on the way back in (file intact on disk), so corruption
+    // retries rather than surfacing garbage — or, worse, silently altered
+    // payloads.
+    last = unseal_page(wire);
+    if (!last.ok()) continue;
+    last = accept(std::move(wire));
+    if (last.ok()) {
+      charge_io(cost);
+      stats_.pages_loaded++;
+      return Status::Ok();
+    }
+  }
+  return last;
+}
+
+void SpillSegment::release() {
+  if (live_pages_ > 0 && --live_pages_ == 0) (void)clear();
+}
+
+Status SpillSegment::clear() {
+  live_pages_ = 0;
+  end_ = 0;
+  if (!exists_) return Status::Ok();
+  exists_ = false;
+  return fs_->remove(storage::Tier::kLocal, node_, path_);
+}
 
 // ---------------------------------------------------------------------------
 // SpillableKvBuffer
@@ -50,62 +172,50 @@ Status unseal_page(Bytes& wire) {
 SpillableKvBuffer::SpillableKvBuffer(storage::StorageSystem* storage, int node,
                                      std::string spill_dir, size_t page_bytes,
                                      size_t memory_budget)
-    : storage_(storage), node_(node), spill_dir_(std::move(spill_dir)),
+    : seg_(storage, node, std::move(spill_dir) + "/kv.pages"),
       page_bytes_(page_bytes ? page_bytes : 1),
       memory_budget_(memory_budget) {}
+
+SpillableKvBuffer::SpillableKvBuffer(const SpillConfig& cfg)
+    : seg_(segment_for(cfg, "kv.pages")),
+      page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
+      memory_budget_(cfg.memory_budget ? cfg.memory_budget : size_t{4} << 20),
+      meter_(cfg.meter) {}
 
 SpillableKvBuffer::~SpillableKvBuffer() { (void)clear(); }
 
 SpillableKvBuffer::SpillableKvBuffer(SpillableKvBuffer&& other) noexcept
-    : storage_(other.storage_), node_(other.node_),
-      spill_dir_(std::move(other.spill_dir_)), page_bytes_(other.page_bytes_),
-      memory_budget_(other.memory_budget_), retry_(other.retry_),
-      meter_(other.meter_), metered_(other.metered_),
-      pages_(std::move(other.pages_)), head_(other.head_),
+    : seg_(std::move(other.seg_)), page_bytes_(other.page_bytes_),
+      memory_budget_(other.memory_budget_),
+      // The residency booking moves with the pages.
+      meter_(std::exchange(other.meter_, nullptr)),
+      metered_(std::exchange(other.metered_, 0)),
+      pages_(std::move(other.pages_)), head_(std::exchange(other.head_, 0)),
       open_page_(std::move(other.open_page_)),
-      resident_bytes_(other.resident_bytes_), total_pairs_(other.total_pairs_),
-      total_bytes_(other.total_bytes_), stats_(other.stats_),
-      pending_io_seconds_(other.pending_io_seconds_),
-      next_page_id_(other.next_page_id_) {
+      resident_bytes_(std::exchange(other.resident_bytes_, 0)),
+      total_pairs_(std::exchange(other.total_pairs_, 0)),
+      total_bytes_(std::exchange(other.total_bytes_, 0)) {
   other.pages_.clear();
-  other.head_ = 0;
   other.open_page_.clear();
-  other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
 }
 
 SpillableKvBuffer& SpillableKvBuffer::operator=(
     SpillableKvBuffer&& other) noexcept {
   if (this == &other) return *this;
   (void)clear();
-  storage_ = other.storage_;
-  node_ = other.node_;
-  spill_dir_ = std::move(other.spill_dir_);
+  seg_ = std::move(other.seg_);
   page_bytes_ = other.page_bytes_;
   memory_budget_ = other.memory_budget_;
-  retry_ = other.retry_;
-  meter_ = other.meter_;
-  metered_ = other.metered_;
+  meter_ = std::exchange(other.meter_, nullptr);
+  metered_ = std::exchange(other.metered_, 0);
   pages_ = std::move(other.pages_);
-  head_ = other.head_;
+  head_ = std::exchange(other.head_, 0);
   open_page_ = std::move(other.open_page_);
-  resident_bytes_ = other.resident_bytes_;
-  total_pairs_ = other.total_pairs_;
-  total_bytes_ = other.total_bytes_;
-  stats_ = other.stats_;
-  pending_io_seconds_ = other.pending_io_seconds_;
-  next_page_id_ = other.next_page_id_;
+  resident_bytes_ = std::exchange(other.resident_bytes_, 0);
+  total_pairs_ = std::exchange(other.total_pairs_, 0);
+  total_bytes_ = std::exchange(other.total_bytes_, 0);
   other.pages_.clear();
-  other.head_ = 0;
   other.open_page_.clear();
-  other.resident_bytes_ = other.total_pairs_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
   return *this;
 }
 
@@ -175,49 +285,19 @@ Status SpillableKvBuffer::spill_oldest_resident() {
                          [](const Page& p) { return !p.on_disk; });
   if (it == pages.end()) return Status::Ok();
   Page& p = *it;
-  char name[64];
-  std::snprintf(name, sizeof(name), "page_%06d", next_page_id_++);
-  std::string path = spill_dir_ + "/" + name;
-  // The wire image stays owned here until a write is verified complete: a
+  // The wire image stays owned here until an append is verified complete: a
   // failed (or torn) spill re-adopts it, so no page is ever lost to the
   // storage layer.
   Bytes wire = std::move(p.mem).take_wire();
-  seal_page(wire);
-  const size_t wire_size = wire.size();
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.write_retries++;
-    }
-    double cost = 0.0;
-    last = storage_->write_file(storage::Tier::kLocal, node_, path, wire, &cost);
-    if (!last.ok()) continue;
-    // A torn write reports success but persists a strict prefix; the size
-    // probe is metadata-only and catches it before the page leaves memory.
-    if (storage_->file_size(storage::Tier::kLocal, node_, path) !=
-        static_cast<int64_t>(wire_size)) {
-      last = {ErrorCode::kIo, "torn spill write detected"};
-      continue;
-    }
-    charge_io(cost);
-    break;
-  }
-  if (!last.ok()) {
-    stats_.write_failures++;
-    (void)storage_->remove(storage::Tier::kLocal, node_, path);
-    wire.resize(wire_size - kPageCrcBytes);
+  if (auto s = seg_.append(wire, p.at); !s.ok()) {
     KvBuffer back;
     (void)back.adopt(std::move(wire));  // our own bytes; validation cannot fail
     p.mem = std::move(back);
-    return last;
+    return s;
   }
   p.on_disk = true;
-  p.path = std::move(path);
   p.mem = KvBuffer{};
   resident_bytes_ -= p.bytes;
-  stats_.pages_spilled++;
-  stats_.bytes_spilled += wire_size;
   return Status::Ok();
 }
 
@@ -239,30 +319,7 @@ Status SpillableKvBuffer::enforce_budget() {
 }
 
 Status SpillableKvBuffer::load_page(const Page& p, KvBuffer& out) {
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.read_retries++;
-    }
-    Bytes wire;
-    double cost = 0.0;
-    last = storage_->read_file(storage::Tier::kLocal, node_, p.path, wire,
-                               &cost);
-    if (!last.ok()) continue;  // clean read failures are transient
-    // The CRC trailer plus adoption's structural validation catch any bit
-    // flip on the way back in (file intact on disk), so corruption retries
-    // rather than surfacing garbage — or, worse, silently altered payloads.
-    last = unseal_page(wire);
-    if (!last.ok()) continue;
-    last = out.adopt(std::move(wire));
-    if (last.ok()) {
-      charge_io(cost);
-      stats_.pages_loaded++;
-      return Status::Ok();
-    }
-  }
-  return last;
+  return seg_.load(p.at, [&out](Bytes&& wire) { return out.adopt(std::move(wire)); });
 }
 
 Status SpillableKvBuffer::for_each(const std::function<void(KvView)>& fn) {
@@ -312,7 +369,7 @@ Status SpillableKvBuffer::pop_front_page(KvBuffer& out, bool& have) {
     Page& p = pages_[head_];
     if (p.on_disk) {
       if (auto s = load_page(p, out); !s.ok()) return s;  // page stays intact
-      (void)storage_->remove(storage::Tier::kLocal, node_, p.path);
+      seg_.release();
     } else {
       out = std::move(p.mem);
       resident_bytes_ -= p.bytes;
@@ -357,7 +414,7 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
   // Disk reads can fail mid-stream, so nothing is moved out of this buffer
   // until every page has been copied: on failure `out` is cleared and every
   // page — including the already-copied prefix — stays intact and
-  // re-readable (spill files are only deleted by the success path below).
+  // re-readable (the segment is only removed by the success path below).
   out.reserve_records(total_pairs_, total_bytes_);
   for (const Page& p : pages) {
     if (p.on_disk) {
@@ -376,16 +433,7 @@ Status SpillableKvBuffer::drain_to(KvBuffer& out) {
 }
 
 Status SpillableKvBuffer::clear() {
-  Status first;
-  if (storage_ != nullptr) {
-    for (const Page& p : live()) {
-      if (!p.on_disk) continue;
-      if (auto s = storage_->remove(storage::Tier::kLocal, node_, p.path);
-          !s.ok() && first.ok()) {
-        first = s;
-      }
-    }
-  }
+  const Status removed = seg_.clear();
   pages_.clear();
   head_ = 0;
   open_page_.clear();
@@ -393,7 +441,7 @@ Status SpillableKvBuffer::clear() {
   total_pairs_ = 0;
   total_bytes_ = 0;
   sync_meter();
-  return first;
+  return removed;
 }
 
 // ---------------------------------------------------------------------------
@@ -463,58 +511,42 @@ Status decode_kmv(std::span<const std::byte> wire, KmvBuffer& out) {
 // ---------------------------------------------------------------------------
 
 SpillableKmvBuffer::SpillableKmvBuffer(const SpillConfig& cfg)
-    : storage_(cfg.enabled() ? cfg.fs : nullptr), node_(cfg.node),
-      spill_dir_(cfg.dir), page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
+    : seg_(segment_for(cfg, "kmv.pages")),
+      page_bytes_(cfg.page_bytes ? cfg.page_bytes : 1),
       memory_budget_(cfg.memory_budget) {}
 
 SpillableKmvBuffer::~SpillableKmvBuffer() { (void)clear(); }
 
 SpillableKmvBuffer::SpillableKmvBuffer(SpillableKmvBuffer&& other) noexcept
-    : storage_(other.storage_), node_(other.node_),
-      spill_dir_(std::move(other.spill_dir_)), page_bytes_(other.page_bytes_),
-      memory_budget_(other.memory_budget_), retry_(other.retry_),
-      meter_(other.meter_), metered_(other.metered_),
+    : seg_(std::move(other.seg_)), page_bytes_(other.page_bytes_),
+      memory_budget_(other.memory_budget_),
+      // The residency booking moves with the pages.
+      meter_(std::exchange(other.meter_, nullptr)),
+      metered_(std::exchange(other.metered_, 0)),
       pages_(std::move(other.pages_)), runs_(std::move(other.runs_)),
-      resident_bytes_(other.resident_bytes_),
-      total_entries_(other.total_entries_), total_bytes_(other.total_bytes_),
-      stats_(other.stats_), pending_io_seconds_(other.pending_io_seconds_),
-      next_page_id_(other.next_page_id_) {
+      resident_bytes_(std::exchange(other.resident_bytes_, 0)),
+      total_entries_(std::exchange(other.total_entries_, 0)),
+      total_bytes_(std::exchange(other.total_bytes_, 0)) {
   other.pages_.clear();
   other.runs_.clear();
-  other.resident_bytes_ = other.total_entries_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
 }
 
 SpillableKmvBuffer& SpillableKmvBuffer::operator=(
     SpillableKmvBuffer&& other) noexcept {
   if (this == &other) return *this;
   (void)clear();
-  storage_ = other.storage_;
-  node_ = other.node_;
-  spill_dir_ = std::move(other.spill_dir_);
+  seg_ = std::move(other.seg_);
   page_bytes_ = other.page_bytes_;
   memory_budget_ = other.memory_budget_;
-  retry_ = other.retry_;
-  meter_ = other.meter_;
-  metered_ = other.metered_;
+  meter_ = std::exchange(other.meter_, nullptr);
+  metered_ = std::exchange(other.metered_, 0);
   pages_ = std::move(other.pages_);
   runs_ = std::move(other.runs_);
-  resident_bytes_ = other.resident_bytes_;
-  total_entries_ = other.total_entries_;
-  total_bytes_ = other.total_bytes_;
-  stats_ = other.stats_;
-  pending_io_seconds_ = other.pending_io_seconds_;
-  next_page_id_ = other.next_page_id_;
+  resident_bytes_ = std::exchange(other.resident_bytes_, 0);
+  total_entries_ = std::exchange(other.total_entries_, 0);
+  total_bytes_ = std::exchange(other.total_bytes_, 0);
   other.pages_.clear();
   other.runs_.clear();
-  other.resident_bytes_ = other.total_entries_ = other.total_bytes_ = 0;
-  other.stats_ = {};
-  other.pending_io_seconds_ = 0.0;
-  other.meter_ = nullptr;  // booking moved with the pages
-  other.metered_ = 0;
   return *this;
 }
 
@@ -530,7 +562,7 @@ Status SpillableKmvBuffer::add_run(KmvBuffer&& run) {
   auto flush = [&](KmvBuffer&& chunk) {
     if (auto s = append_page(std::move(chunk)); !s.ok() && first.ok()) first = s;
   };
-  if (run.bytes() <= page_bytes_ || storage_ == nullptr) {
+  if (run.bytes() <= page_bytes_ || !seg_.enabled()) {
     // Pages only bound what may spill: an in-memory buffer keeps a run
     // whole instead of copying it into page-sized chunks.
     flush(std::move(run));
@@ -567,72 +599,25 @@ Status SpillableKmvBuffer::append_page(KmvBuffer&& chunk) {
 
 Status SpillableKmvBuffer::enforce_budget() {
   sync_meter();  // book the pre-spill residency (see SpillableKvBuffer)
-  if (storage_ == nullptr || memory_budget_ == 0) return Status::Ok();
+  if (!seg_.enabled() || memory_budget_ == 0) return Status::Ok();
   while (resident_bytes_ > memory_budget_) {
     auto it = std::find_if(pages_.begin(), pages_.end(),
                            [](const Page& p) { return !p.on_disk; });
     if (it == pages_.end()) break;
     Page& p = *it;
-    char name[64];
-    std::snprintf(name, sizeof(name), "kmv_%06d", next_page_id_++);
-    std::string path = spill_dir_ + "/" + name;
     Bytes wire = encode_kmv(p.mem);
-    seal_page(wire);
-    Status last;
-    for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-      if (attempt > 1) {
-        charge_io(retry_.backoff_before(attempt - 1));
-        stats_.write_retries++;
-      }
-      double cost = 0.0;
-      last = storage_->write_file(storage::Tier::kLocal, node_, path, wire,
-                                  &cost);
-      if (!last.ok()) continue;
-      if (storage_->file_size(storage::Tier::kLocal, node_, path) !=
-          static_cast<int64_t>(wire.size())) {
-        last = {ErrorCode::kIo, "torn kmv spill write detected"};
-        continue;
-      }
-      charge_io(cost);
-      break;
-    }
-    if (!last.ok()) {
-      stats_.write_failures++;
-      (void)storage_->remove(storage::Tier::kLocal, node_, path);
-      return last;  // page stays resident; nothing lost
+    if (auto s = seg_.append(wire, p.at); !s.ok()) {
+      return s;  // page stays resident; nothing lost
     }
     p.on_disk = true;
-    p.path = std::move(path);
     p.mem = KmvBuffer{};
     resident_bytes_ -= p.bytes;
-    stats_.pages_spilled++;
-    stats_.bytes_spilled += wire.size();
   }
   return Status::Ok();
 }
 
 Status SpillableKmvBuffer::load_page(const Page& p, KmvBuffer& out) {
-  Status last;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    if (attempt > 1) {
-      charge_io(retry_.backoff_before(attempt - 1));
-      stats_.read_retries++;
-    }
-    Bytes wire;
-    double cost = 0.0;
-    last = storage_->read_file(storage::Tier::kLocal, node_, p.path, wire,
-                               &cost);
-    if (!last.ok()) continue;
-    last = unseal_page(wire);  // CRC: payload bit flips retry too
-    if (!last.ok()) continue;
-    last = decode_kmv(wire, out);  // structural validation
-    if (last.ok()) {
-      charge_io(cost);
-      stats_.pages_loaded++;
-      return Status::Ok();
-    }
-  }
-  return last;
+  return seg_.load(p.at, [&out](Bytes&& wire) { return decode_kmv(wire, out); });
 }
 
 Status SpillableKmvBuffer::for_each_entry(
@@ -770,23 +755,14 @@ Status SpillableKmvBuffer::for_each_entry(
 }
 
 Status SpillableKmvBuffer::clear() {
-  Status first;
-  if (storage_ != nullptr) {
-    for (const Page& p : pages_) {
-      if (!p.on_disk) continue;
-      if (auto s = storage_->remove(storage::Tier::kLocal, node_, p.path);
-          !s.ok() && first.ok()) {
-        first = s;
-      }
-    }
-  }
+  const Status removed = seg_.clear();
   pages_.clear();
   runs_.clear();
   resident_bytes_ = 0;
   total_entries_ = 0;
   total_bytes_ = 0;
   sync_meter();
-  return first;
+  return removed;
 }
 
 }  // namespace ftmr::mr

@@ -11,31 +11,41 @@
 // re-materializing the dataset.
 //
 // Page model. A buffer is an ordered list of closed pages — each either
-// resident (an in-memory KvBuffer) or on disk (a spill file whose header
-// info, pair/byte counts, stays in memory) — plus one open page being
-// filled. Pair order is the page order; spilling never reorders. The
-// memory budget counts every resident byte *including the open page*;
-// when (resident closed pages + open page) exceed the budget, the oldest
-// resident page spills. Residency can exceed the budget only while a
-// single page is itself larger than the budget (it spills as soon as it
-// closes).
+// resident (an in-memory KvBuffer) or on disk (an extent of the buffer's
+// spill segment whose header info, pair/byte counts, stays in memory) —
+// plus one open page being filled. Pair order is the page order; spilling
+// never reorders. The memory budget counts every resident byte *including
+// the open page*; when (resident closed pages + open page) exceed the
+// budget, the oldest resident page spills. Residency can exceed the budget
+// only while a single page is itself larger than the budget (it spills as
+// soon as it closes).
+//
+// Segment layout. Each buffer spills into one append-only file,
+// `<spill_dir>/kv.pages` (KV) or `<spill_dir>/kmv.pages` (KMV): a spilled
+// page is its CRC-sealed wire image at an (offset, len) extent, loaded back
+// with one StorageSystem::read_range. One file per store instead of one per
+// page keeps spilling off the file system's create path.
 //
 // Failure-path guarantees (see DESIGN.md "Out-of-core KV"):
-//   * spill writes retain the page until the write has succeeded; a write
-//     error is retried on the storage layer's bounded-backoff ladder and,
-//     if it still fails, the page stays resident (over budget, never lost)
-//     and the error surfaces to the caller;
+//   * spill writes retain the page until the append has been verified
+//     (size probe); a write error or a torn append is retried on the
+//     storage layer's bounded-backoff ladder — a torn tail stays behind as
+//     dead bytes and the retry appends past it — and if the ladder is
+//     exhausted the page stays resident (over budget, never lost) and the
+//     error surfaces to the caller;
 //   * drain_to clears `out` on a mid-stream read failure and leaves every
 //     page — including the already-copied ones — intact and re-readable
-//     (spill files are only deleted by clear(), pop_front_page, or the
-//     destructor), so the caller can retry or fall back;
-//   * clear() removes every spill file and reports the first removal error
-//     after clearing all in-memory state.
+//     (the segment is only removed by clear(), by pop_front_page once its
+//     last spilled page is consumed, or by the destructor), so the caller
+//     can retry or fall back;
+//   * clear() removes the segment file and reports a removal error after
+//     clearing all in-memory state.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mr/kv.hpp"
@@ -45,6 +55,7 @@
 namespace ftmr::mr {
 
 struct SpillStats {
+  int files_created = 0;        // segment files created (see SpillSegment)
   int pages_spilled = 0;
   int pages_loaded = 0;
   size_t bytes_spilled = 0;
@@ -64,6 +75,9 @@ struct SpillStats {
 struct ResidencyMeter {
   size_t current = 0;
   size_t peak = 0;
+  /// Spill traffic of the same buffers, summed for per-rank reports.
+  int files_created = 0;
+  int pages_spilled = 0;
   /// One buffer's booking moves from `from` to `to` resident bytes.
   void rebook(size_t from, size_t to) noexcept {
     current = current - (from < current ? from : current) + to;
@@ -105,6 +119,77 @@ struct SpillConfig {
   }
 };
 
+/// One store's append-only spill file and its retry ladder. Every page the
+/// store spills is sealed with a CRC-32 trailer and lands in the file as an
+/// Extent. The first page a file holds is written with write_file (which
+/// drops a stale file or a failed attempt's leftovers), later pages are
+/// appended. After every attempt a metadata-only size probe moves the end
+/// offset past whatever the attempt left: a torn append — success
+/// reported, a strict prefix persisted — is retried past its tail, which
+/// stays behind as dead bytes until the file goes. The file goes on
+/// clear(), on destruction, and when release() drops the last live page.
+/// Owns the store's SpillStats and its pending modeled I/O time.
+class SpillSegment {
+ public:
+  /// Where one spilled page lives in the file.
+  struct Extent {
+    uint64_t offset = 0;
+    uint64_t len = 0;
+  };
+
+  SpillSegment() = default;
+  /// `fs` null: a segment that never spills (an in-memory store).
+  SpillSegment(storage::StorageSystem* fs, int node, std::string path,
+               ResidencyMeter* meter = nullptr)
+      : fs_(fs), node_(node), path_(std::move(path)), meter_(meter) {}
+  ~SpillSegment() { (void)clear(); }
+
+  SpillSegment(const SpillSegment&) = delete;
+  SpillSegment& operator=(const SpillSegment&) = delete;
+  /// Moves hand the file over; the moved-from segment holds none.
+  SpillSegment(SpillSegment&& other) noexcept;
+  SpillSegment& operator=(SpillSegment&& other) noexcept;
+
+  [[nodiscard]] bool enabled() const noexcept { return fs_ != nullptr; }
+
+  /// Seal `wire` and append it on the retry ladder; on success `at` is its
+  /// extent. On failure `wire` is handed back unsealed, so the caller keeps
+  /// the page.
+  Status append(Bytes& wire, Extent& at);
+  /// Read extent `at` back on the retry ladder: the CRC trailer is checked
+  /// and stripped, then `accept` decodes (and structurally validates) the
+  /// wire image; a failure of either is retried as transient corruption.
+  Status load(Extent at, const std::function<Status(Bytes&&)>& accept);
+  /// One spilled page was consumed; the file goes with the last one.
+  void release();
+  /// Remove the file (if any); counters are kept.
+  Status clear();
+
+  [[nodiscard]] const SpillStats& stats() const noexcept { return stats_; }
+  /// Simulated spill I/O seconds accumulated since the last take (workers
+  /// charge this to their virtual clock at phase boundaries).
+  [[nodiscard]] double take_io_seconds() noexcept {
+    return std::exchange(pending_io_seconds_, 0.0);
+  }
+
+ private:
+  void charge_io(double cost) noexcept {
+    stats_.sim_io_seconds += cost;
+    pending_io_seconds_ += cost;
+  }
+
+  storage::StorageSystem* fs_ = nullptr;
+  int node_ = 0;
+  std::string path_;
+  ResidencyMeter* meter_ = nullptr;
+  storage::RetryPolicy retry_{};
+  uint64_t end_ = 0;        // file size: the next append's offset
+  size_t live_pages_ = 0;   // appended and not yet released
+  bool exists_ = false;     // the file is on disk
+  SpillStats stats_;
+  double pending_io_seconds_ = 0.0;
+};
+
 /// Append-only KV store that keeps at most `memory_budget` bytes of pairs
 /// in memory; older full pages spill to local disk under `spill_dir`.
 /// Iteration (for_each / for_each_page / drain_to) streams spilled pages
@@ -126,12 +211,7 @@ class SpillableKvBuffer {
   SpillableKvBuffer(storage::StorageSystem* storage, int node,
                     std::string spill_dir, size_t page_bytes = 1 << 20,
                     size_t memory_budget = 4 << 20);
-  explicit SpillableKvBuffer(const SpillConfig& cfg)
-      : SpillableKvBuffer(cfg.enabled() ? cfg.fs : nullptr, cfg.node, cfg.dir,
-                          cfg.page_bytes,
-                          cfg.memory_budget ? cfg.memory_budget : size_t{4} << 20) {
-    meter_ = cfg.meter;
-  }
+  explicit SpillableKvBuffer(const SpillConfig& cfg);
   ~SpillableKvBuffer();
 
   SpillableKvBuffer(const SpillableKvBuffer&) = delete;
@@ -153,7 +233,7 @@ class SpillableKvBuffer {
   [[nodiscard]] size_t size() const noexcept { return total_pairs_; }
   [[nodiscard]] size_t bytes() const noexcept { return total_bytes_; }
   [[nodiscard]] bool empty() const noexcept { return total_pairs_ == 0; }
-  [[nodiscard]] const SpillStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const SpillStats& stats() const noexcept { return seg_.stats(); }
 
   /// Closed pages plus the open page (if non-empty).
   [[nodiscard]] size_t page_count() const noexcept {
@@ -170,7 +250,7 @@ class SpillableKvBuffer {
   [[nodiscard]] size_t memory_budget() const noexcept { return memory_budget_; }
   /// False for a purely in-memory buffer (no storage): its pages never
   /// leave memory, whatever the budget.
-  [[nodiscard]] bool can_spill() const noexcept { return storage_ != nullptr; }
+  [[nodiscard]] bool can_spill() const noexcept { return seg_.enabled(); }
 
   /// Visit every pair in insertion order, streaming spilled pages back.
   /// The views passed to `fn` alias a page arena and are only valid for
@@ -188,8 +268,9 @@ class SpillableKvBuffer {
   /// kOutOfRange past the last page.
   Status read_page(size_t i, KvBuffer& out);
 
-  /// Consume the oldest page: `out` receives it (loaded if spilled, the
-  /// spill file is removed), `have` is false when the buffer is empty.
+  /// Consume the oldest page: `out` receives it (loaded if spilled; the
+  /// segment file goes with its last spilled page), `have` is false when
+  /// the buffer is empty.
   /// Streaming consumers use this so freed pages stop counting against
   /// the budget the moment they are handed off.
   Status pop_front_page(KvBuffer& out, bool& have);
@@ -197,7 +278,7 @@ class SpillableKvBuffer {
   /// Move everything into a plain in-memory KvBuffer (insertion order):
   /// spilled pages are adopted wholesale from their wire image, resident
   /// and open pages are moved — no per-pair copies. On success the buffer
-  /// is cleared (spill files removed). On a mid-stream failure `out` is
+  /// is cleared (segment removed). On a mid-stream failure `out` is
   /// cleared and every page of this buffer — including the already-copied
   /// prefix — remains intact and re-readable.
   Status drain_to(KvBuffer& out);
@@ -208,15 +289,13 @@ class SpillableKvBuffer {
   /// Simulated spill I/O seconds accumulated since the last take (workers
   /// charge this to their virtual clock at phase boundaries).
   [[nodiscard]] double take_io_seconds() noexcept {
-    const double t = pending_io_seconds_;
-    pending_io_seconds_ = 0.0;
-    return t;
+    return seg_.take_io_seconds();
   }
 
  private:
   struct Page {
-    KvBuffer mem;        // meaningful when !on_disk
-    std::string path;    // meaningful when on_disk
+    KvBuffer mem;             // meaningful when !on_disk
+    SpillSegment::Extent at;  // meaningful when on_disk
     size_t pairs = 0;
     size_t bytes = 0;
     bool on_disk = false;
@@ -235,10 +314,6 @@ class SpillableKvBuffer {
   /// Spill until (closed resident + open page) fits the budget.
   Status enforce_budget();
   Status load_page(const Page& p, KvBuffer& out);
-  void charge_io(double cost) noexcept {
-    stats_.sim_io_seconds += cost;
-    pending_io_seconds_ += cost;
-  }
   /// Re-book this buffer's resident bytes with the shared meter.
   void sync_meter() noexcept {
     if (meter_ == nullptr) return;
@@ -247,12 +322,9 @@ class SpillableKvBuffer {
     metered_ = now;
   }
 
-  storage::StorageSystem* storage_ = nullptr;
-  int node_ = 0;
-  std::string spill_dir_;
+  SpillSegment seg_;
   size_t page_bytes_ = 1 << 20;
   size_t memory_budget_ = 0;
-  storage::RetryPolicy retry_{};
   ResidencyMeter* meter_ = nullptr;
   size_t metered_ = 0;            // bytes currently booked with meter_
 
@@ -265,9 +337,6 @@ class SpillableKvBuffer {
   size_t resident_bytes_ = 0;     // closed resident pages only
   size_t total_pairs_ = 0;
   size_t total_bytes_ = 0;
-  SpillStats stats_;
-  double pending_io_seconds_ = 0.0;
-  int next_page_id_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -314,7 +383,7 @@ class SpillableKmvBuffer {
   [[nodiscard]] bool empty() const noexcept { return total_entries_ == 0; }
   [[nodiscard]] size_t bytes() const noexcept { return total_bytes_; }
   [[nodiscard]] size_t runs() const noexcept { return runs_.size(); }
-  [[nodiscard]] const SpillStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const SpillStats& stats() const noexcept { return seg_.stats(); }
   [[nodiscard]] size_t resident_bytes() const noexcept { return resident_bytes_; }
 
   /// Stream every entry in ascending key order (ties across runs merge
@@ -330,15 +399,13 @@ class SpillableKmvBuffer {
   Status clear();
 
   [[nodiscard]] double take_io_seconds() noexcept {
-    const double t = pending_io_seconds_;
-    pending_io_seconds_ = 0.0;
-    return t;
+    return seg_.take_io_seconds();
   }
 
  private:
   struct Page {
-    KmvBuffer mem;       // meaningful when !on_disk
-    std::string path;    // meaningful when on_disk
+    KmvBuffer mem;            // meaningful when !on_disk
+    SpillSegment::Extent at;  // meaningful when on_disk
     size_t entries = 0;
     size_t bytes = 0;    // serialized size (what residency/spill accounting uses)
     bool on_disk = false;
@@ -351,22 +418,15 @@ class SpillableKmvBuffer {
   Status append_page(KmvBuffer&& chunk);
   Status enforce_budget();
   Status load_page(const Page& p, KmvBuffer& out);
-  void charge_io(double cost) noexcept {
-    stats_.sim_io_seconds += cost;
-    pending_io_seconds_ += cost;
-  }
   void sync_meter() noexcept {
     if (meter_ == nullptr) return;
     meter_->rebook(metered_, resident_bytes_);
     metered_ = resident_bytes_;
   }
 
-  storage::StorageSystem* storage_ = nullptr;
-  int node_ = 0;
-  std::string spill_dir_;
+  SpillSegment seg_;
   size_t page_bytes_ = 1 << 20;
   size_t memory_budget_ = 0;
-  storage::RetryPolicy retry_{};
   ResidencyMeter* meter_ = nullptr;
   size_t metered_ = 0;        // bytes currently booked with meter_
 
@@ -375,9 +435,6 @@ class SpillableKmvBuffer {
   size_t resident_bytes_ = 0;
   size_t total_entries_ = 0;
   size_t total_bytes_ = 0;
-  SpillStats stats_;
-  double pending_io_seconds_ = 0.0;
-  int next_page_id_ = 0;
 };
 
 }  // namespace ftmr::mr

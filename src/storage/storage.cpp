@@ -29,15 +29,20 @@ fs::path StorageSystem::real_path(Tier tier, int node, std::string_view path) co
   return opts_.root / "local" / ("node" + std::to_string(node)) / fs::path(path);
 }
 
-void StorageSystem::inject_io_failures(int count, Status error) {
+void StorageSystem::inject_io_failures(int count, Status error, int pass_first) {
   MutexLock lock(stats_mu_);
   injected_failures_ = count;
+  injected_passes_ = pass_first;
   injected_error_ = std::move(error);
 }
 
 Status StorageSystem::take_injected_failure() {
   MutexLock lock(stats_mu_);
   if (injected_failures_ <= 0) return Status::Ok();
+  if (injected_passes_ > 0) {
+    --injected_passes_;
+    return Status::Ok();
+  }
   --injected_failures_;
   fault_stats_.count_failures++;
   return injected_error_;
@@ -51,6 +56,7 @@ void StorageSystem::set_fault_injector(FaultInjectorConfig cfg) {
   MutexLock lock(stats_mu_);
   injector_rng_ = Rng(cfg.seed);
   injector_ = std::move(cfg);
+  injector_faults_ = 0;
   injector_armed_ = true;
 }
 
@@ -71,24 +77,31 @@ FaultStats StorageSystem::fault_stats() const {
   return total;
 }
 
+bool StorageSystem::injector_eligible(std::string_view path) const {
+  if (!injector_armed_) return false;
+  if (injector_.max_faults > 0 && injector_faults_ >= injector_.max_faults) {
+    return false;
+  }
+  return injector_.path_filter.empty() ||
+         path.find(injector_.path_filter) != std::string_view::npos;
+}
+
 StorageSystem::WriteFault StorageSystem::draw_write_fault(Tier tier,
                                                           std::string_view path,
                                                           size_t size,
                                                           size_t* torn_prefix) {
   MutexLock lock(stats_mu_);
-  if (!injector_armed_) return WriteFault::kNone;
-  if (!injector_.path_filter.empty() &&
-      path.find(injector_.path_filter) == std::string_view::npos) {
-    return WriteFault::kNone;
-  }
+  if (!injector_eligible(path)) return WriteFault::kNone;
   const TierFaults& f =
       (tier == Tier::kLocal) ? injector_.local : injector_.shared;
   if (f.p_write_fail > 0.0 && injector_rng_.next_double() < f.p_write_fail) {
     fault_stats_.write_failures++;
+    injector_faults_++;
     return WriteFault::kFail;
   }
   if (f.p_torn_write > 0.0 && injector_rng_.next_double() < f.p_torn_write) {
     fault_stats_.torn_writes++;
+    injector_faults_++;
     *torn_prefix = size > 0 ? injector_rng_.next_below(size) : 0;
     return WriteFault::kTorn;
   }
@@ -98,19 +111,17 @@ StorageSystem::WriteFault StorageSystem::draw_write_fault(Tier tier,
 StorageSystem::ReadFault StorageSystem::draw_read_fault(Tier tier,
                                                         std::string_view path) {
   MutexLock lock(stats_mu_);
-  if (!injector_armed_) return ReadFault::kNone;
-  if (!injector_.path_filter.empty() &&
-      path.find(injector_.path_filter) == std::string_view::npos) {
-    return ReadFault::kNone;
-  }
+  if (!injector_eligible(path)) return ReadFault::kNone;
   const TierFaults& f =
       (tier == Tier::kLocal) ? injector_.local : injector_.shared;
   if (f.p_read_fail > 0.0 && injector_rng_.next_double() < f.p_read_fail) {
     fault_stats_.read_failures++;
+    injector_faults_++;
     return ReadFault::kFail;
   }
   if (f.p_corrupt_read > 0.0 && injector_rng_.next_double() < f.p_corrupt_read) {
     fault_stats_.corrupt_reads++;
+    injector_faults_++;
     return ReadFault::kCorrupt;
   }
   return ReadFault::kNone;
@@ -206,6 +217,18 @@ Status StorageSystem::append_file(Tier tier, int node, std::string_view path,
 
 Status StorageSystem::read_file(Tier tier, int node, std::string_view path,
                                 Bytes& out, double* sim_cost, int concurrency) {
+  return read_impl(tier, node, path, 0, std::nullopt, out, sim_cost, concurrency);
+}
+
+Status StorageSystem::read_range(Tier tier, int node, std::string_view path,
+                                 uint64_t offset, uint64_t len, Bytes& out,
+                                 double* sim_cost, int concurrency) {
+  return read_impl(tier, node, path, offset, len, out, sim_cost, concurrency);
+}
+
+Status StorageSystem::read_impl(Tier tier, int node, std::string_view path,
+                                uint64_t offset, std::optional<uint64_t> len,
+                                Bytes& out, double* sim_cost, int concurrency) {
   if (auto s = check_tier(tier); !s.ok()) return s;
   if (auto s = take_injected_failure(); !s.ok()) return s;
   const ReadFault rf = draw_read_fault(tier, path);
@@ -215,10 +238,14 @@ Status StorageSystem::read_file(Tier tier, int node, std::string_view path,
   const fs::path p = real_path(tier, node, path);
   std::ifstream f(p, std::ios::binary | std::ios::ate);
   if (!f) return {ErrorCode::kNotFound, "read_file: no such file " + p.string()};
-  const auto size = f.tellg();
-  f.seekg(0);
-  out.resize(static_cast<size_t>(size));
-  f.read(reinterpret_cast<char*>(out.data()), size);
+  const auto size = static_cast<uint64_t>(f.tellg());
+  const uint64_t n = len.value_or(size);  // read_file: offset 0, whole file
+  if (offset > size || n > size - offset) {
+    return {ErrorCode::kIo, "read_file: short read from " + p.string()};
+  }
+  f.seekg(static_cast<std::streamoff>(offset));
+  out.resize(static_cast<size_t>(n));
+  f.read(reinterpret_cast<char*>(out.data()), static_cast<std::streamsize>(n));
   if (!f) return {ErrorCode::kIo, "read_file: short read from " + p.string()};
   if (rf == ReadFault::kCorrupt) corrupt_buffer(out);
   if (sim_cost) *sim_cost = cost_of(tier, out.size(), 1, concurrency);
@@ -249,6 +276,15 @@ Status StorageSystem::remove(Tier tier, int node, std::string_view path) {
   std::error_code ec;
   fs::remove_all(real_path(tier, node, path), ec);
   return ec ? Status{ErrorCode::kIo, "remove failed: " + ec.message()} : Status::Ok();
+}
+
+Status StorageSystem::rename(Tier tier, int node, std::string_view from,
+                             std::string_view to) {
+  if (auto s = check_tier(tier); !s.ok()) return s;
+  std::error_code ec;
+  fs::rename(real_path(tier, node, from), real_path(tier, node, to), ec);
+  return ec ? Status{ErrorCode::kIo, "rename failed: " + ec.message()}
+            : Status::Ok();
 }
 
 Status StorageSystem::list_dir(Tier tier, int node, std::string_view dir,

@@ -16,6 +16,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,6 +108,10 @@ struct FaultInjectorConfig {
   /// substring are eligible for injection (e.g. "ck/r2" to attack one
   /// rank's checkpoints while leaving job input/output pristine).
   std::string path_filter;
+  /// File-tier faults to inject before the injector goes quiet (0 = no
+  /// limit): `p_torn_write = 1` with `max_faults = 1` tears exactly the
+  /// first matching write and lets its retry through.
+  int64_t max_faults = 0;
 };
 
 /// Robustness counters: what the injector actually did. Benches and tests
@@ -146,10 +151,22 @@ class StorageSystem {
   Status read_file(Tier tier, int node, std::string_view path, Bytes& out,
                    double* sim_cost = nullptr, int concurrency = 1);
 
+  /// Read the `len` bytes at `offset` of a file: one operation with
+  /// read_file's fault draws, stats booking and cost model, over `len`
+  /// bytes. A file that ends before offset + len is a kIo short read.
+  Status read_range(Tier tier, int node, std::string_view path,
+                    uint64_t offset, uint64_t len, Bytes& out,
+                    double* sim_cost = nullptr, int concurrency = 1);
+
   [[nodiscard]] bool exists(Tier tier, int node, std::string_view path) const;
   [[nodiscard]] int64_t file_size(Tier tier, int node, std::string_view path) const;
 
   Status remove(Tier tier, int node, std::string_view path);
+  /// Rename a file within one tier (replacing `to`; its directory must
+  /// exist). Metadata only: no bytes move, so no cost, stats or fault
+  /// draws.
+  Status rename(Tier tier, int node, std::string_view from,
+                std::string_view to);
   /// Recursively list file paths (relative) under a logical directory.
   Status list_dir(Tier tier, int node, std::string_view dir,
                   std::vector<std::string>& names) const;
@@ -172,12 +189,14 @@ class StorageSystem {
   [[nodiscard]] TierStats stats(Tier tier) const;
   [[nodiscard]] const StorageOptions& options() const noexcept { return opts_; }
 
-  /// Deterministic fault injection: the next `count` read/write/append
-  /// operations fail with `error`. Kept for tests that need an exact
-  /// failure (e.g. "the first read fails, the retry succeeds"); the
+  /// Deterministic fault injection: after `pass_first` more read/write/
+  /// append operations succeed, the next `count` ones fail with `error`.
+  /// Kept for tests that need an exact failure (e.g. "the first read
+  /// fails, the retry succeeds", or "the second page's reads fail"); the
   /// probabilistic injector below is the general mechanism.
-  void inject_io_failures(int count, Status error = {ErrorCode::kIo,
-                                                     "injected I/O failure"});
+  void inject_io_failures(int count,
+                          Status error = {ErrorCode::kIo, "injected I/O failure"},
+                          int pass_first = 0);
 
   /// Arm the seeded probabilistic fault injector (torn writes, bit flips,
   /// clean failures; per tier, optionally path-filtered). Replaces any
@@ -194,9 +213,17 @@ class StorageSystem {
  private:
   Status check_tier(Tier tier) const;
 
+  /// read_file / read_range: the whole file when `len` is empty.
+  Status read_impl(Tier tier, int node, std::string_view path, uint64_t offset,
+                   std::optional<uint64_t> len, Bytes& out, double* sim_cost,
+                   int concurrency);
+
   /// Consume one injected failure if armed (returns it), else OK.
   Status take_injected_failure() FTMR_EXCLUDES(stats_mu_);
 
+  /// Whether the armed injector may fault an operation on `path`.
+  bool injector_eligible(std::string_view path) const
+      FTMR_REQUIRES(stats_mu_);
   /// Injector decision for one operation (locks stats_mu_ internally).
   enum class WriteFault { kNone, kFail, kTorn };
   enum class ReadFault { kNone, kFail, kCorrupt };
@@ -215,10 +242,12 @@ class StorageSystem {
   TierStats local_stats_ FTMR_GUARDED_BY(stats_mu_);
   TierStats shared_stats_ FTMR_GUARDED_BY(stats_mu_);
   int injected_failures_ FTMR_GUARDED_BY(stats_mu_) = 0;
+  int injected_passes_ FTMR_GUARDED_BY(stats_mu_) = 0;
   Status injected_error_ FTMR_GUARDED_BY(stats_mu_);
   bool injector_armed_ FTMR_GUARDED_BY(stats_mu_) = false;
   FaultInjectorConfig injector_ FTMR_GUARDED_BY(stats_mu_);
   Rng injector_rng_ FTMR_GUARDED_BY(stats_mu_);
+  int64_t injector_faults_ FTMR_GUARDED_BY(stats_mu_) = 0;  // since armed
   FaultStats fault_stats_ FTMR_GUARDED_BY(stats_mu_);
   // unique_ptr to a forward-declared type: replica.hpp includes this
   // header, so the concrete type is only visible in storage.cpp.

@@ -317,6 +317,33 @@ TEST_F(IntegrityCkptFixture, BothReplicasTornQuarantinesAndKeepsRest) {
   });
 }
 
+TEST_F(IntegrityCkptFixture, DrainRenamesTheProbeToItsStampedName) {
+  Runtime::run(1, [&](Comm& c) {
+    CkptOptions o;  // kLocalWithCopier
+    CheckpointManager cm(fs.get(), 0, 0, o, 1);
+    auto part3 = store({{"k", "v"}});
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part3).ok());
+    std::vector<std::string> local, shared;
+    ASSERT_TRUE(fs->list_dir(storage::Tier::kLocal, 0, "ck/r0", local).ok());
+    ASSERT_TRUE(fs->list_dir(storage::Tier::kShared, 0, "ck/r0", shared).ok());
+    ASSERT_EQ(local.size(), 1u);
+    ASSERT_EQ(shared.size(), 1u) << "the unstamped probe must not stay behind";
+    // The one shared file is the local file's name plus its drain stamp...
+    CkptFileName name;
+    ASSERT_TRUE(parse_checkpoint_name(shared[0], name));
+    EXPECT_GE(name.drained_usec, 0);
+    EXPECT_EQ(shared[0].rfind(local[0] + "_d", 0), 0u);
+    // ...with the local file's bytes.
+    Bytes a, b;
+    ASSERT_TRUE(fs->read_file(storage::Tier::kLocal, 0, "ck/r0/" + local[0], a).ok());
+    ASSERT_TRUE(fs->read_file(storage::Tier::kShared, 0, "ck/r0/" + shared[0], b).ok());
+    EXPECT_EQ(a, b);
+    // The copier's copy is the only shared write; stamping moved no bytes.
+    EXPECT_EQ(fs->stats(storage::Tier::kShared).write_ops, 1);
+    EXPECT_EQ(fs->stats(storage::Tier::kShared).read_ops, 1);  // the read above
+  });
+}
+
 TEST_F(IntegrityCkptFixture, PoisonedDeltaChainKeepsVerifiedPrefixOnly) {
   Runtime::run(1, [&](Comm& c) {
     CkptOptions o;
@@ -464,6 +491,40 @@ TEST(WriteLadder, StreamedTornWritesAreProbedRetriedThenDropped) {
     EXPECT_EQ(cm.integrity().ckpt_write_failures, 1);
     EXPECT_GE(fs.fault_stats().torn_writes, max_attempts);
     EXPECT_FALSE(valid_ladder_file(fs));
+  });
+}
+
+TEST(WriteLadder, DroppedStreamLeavesNoTornFile) {
+  storage::TempDir tmp("ftmr-integrity-torn-drop");
+  storage::StorageOptions so;
+  so.root = tmp.path();
+  storage::StorageSystem fs(so);
+  Runtime::run(1, [&](Comm& c) {
+    auto part = ladder_store(&fs);
+    ASSERT_GT(part.spilled_page_count(), 0u);
+    storage::FaultInjectorConfig fc;
+    fc.local.p_torn_write = 1.0;
+    fc.path_filter = "part_";
+    fs.set_fault_injector(fc);
+    CheckpointManager cm(&fs, 0, 0, local_only(), 1);
+    ASSERT_TRUE(cm.partition_ckpt(c, 0, 3, part).ok());
+    fs.clear_fault_injector();
+    ASSERT_EQ(cm.integrity().ckpt_write_failures, 1);
+    // The dropped checkpoint's last torn attempt is removed...
+    std::vector<std::string> names;
+    ASSERT_TRUE(fs.list_dir(storage::Tier::kLocal, 0, "ck/r0", names).ok());
+    for (const std::string& n : names) {
+      EXPECT_EQ(n.find("part_"), std::string::npos) << "torn remnant: " << n;
+    }
+    // ...so recovery sees a checkpoint that was never written, not one
+    // lost to corruption.
+    RankRecovery rec;
+    ASSERT_TRUE(cm.load_rank_stage(c, 0, 0, 0, /*from_shared=*/false, -1.0, rec).ok());
+    EXPECT_FALSE(rec.partitions.count(3));
+    EXPECT_EQ(rec.corrupt_frames, 0u);
+    EXPECT_EQ(cm.integrity().corrupt_frames, 0);
+    EXPECT_EQ(cm.integrity().files_quarantined, 0);
+    EXPECT_EQ(cm.integrity().io_retries, storage::RetryPolicy{}.max_attempts - 1);
   });
 }
 

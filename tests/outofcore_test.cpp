@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "apps/wordcount.hpp"
 #include "common/rng.hpp"
@@ -170,6 +171,15 @@ TEST(SpillBudget, ResidencyMeterTracksPeakAcrossBuffers) {
 
 // --- bug (c): drain_to mid-stream failure semantics -----------------------
 
+constexpr int kReadAttempts = storage::RetryPolicy{}.max_attempts;
+
+/// Let the next read (the first spilled page's load) through, then fail
+/// every attempt of the one after it (the second page's load).
+void fail_second_page_reads(storage::StorageSystem& fs) {
+  fs.inject_io_failures(kReadAttempts, {ErrorCode::kIo, "injected"},
+                        /*pass_first=*/1);
+}
+
 TEST(SpillFailurePath, DrainMidStreamFailureRestoresWellDefinedState) {
   MiniCluster cl;
   SpillableKvBuffer buf(cl.fs.get(), 0, "spill", 256, 256);
@@ -183,17 +193,14 @@ TEST(SpillFailurePath, DrainMidStreamFailureRestoresWellDefinedState) {
   const size_t size_before = buf.size();
   // Make one mid-stream page unreadable (every retry included): the second
   // spilled page fails, after the first was already copied into `out`.
-  storage::FaultInjectorConfig fi;
-  fi.local.p_read_fail = 1.0;
-  fi.path_filter = "page_000001";
-  cl.fs->set_fault_injector(fi);
+  fail_second_page_reads(*cl.fs);
   KvBuffer out;
   out.add("stale", "contents");  // drain must clear this even on failure
   EXPECT_FALSE(buf.drain_to(out).ok());
   EXPECT_TRUE(out.empty()) << "failed drain must clear out";
   EXPECT_EQ(buf.size(), size_before) << "failed drain must keep all pages";
+  EXPECT_EQ(cl.fs->fault_stats().count_failures, kReadAttempts);
   // Every page — including the already-copied prefix — is re-readable.
-  cl.fs->clear_fault_injector();
   ASSERT_TRUE(buf.drain_to(out).ok());
   std::map<std::string, int64_t> got;
   for (KvView p : out) got[std::string(p.key)]++;
@@ -208,13 +215,10 @@ TEST(SpillFailurePath, ClearAfterPartialDrainRemovesAllSpillFiles) {
     ASSERT_TRUE(buf.add("key_" + std::to_string(i), "v").ok());
   }
   ASSERT_GE(buf.spilled_page_count(), 2u);
-  storage::FaultInjectorConfig fi;
-  fi.local.p_read_fail = 1.0;
-  fi.path_filter = "page_000001";
-  cl.fs->set_fault_injector(fi);
+  fail_second_page_reads(*cl.fs);
   KvBuffer out;
   EXPECT_FALSE(buf.drain_to(out).ok());
-  cl.fs->clear_fault_injector();
+  EXPECT_EQ(cl.fs->fault_stats().count_failures, kReadAttempts);
   ASSERT_TRUE(buf.clear().ok());
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.resident_bytes(), 0u);
@@ -255,6 +259,150 @@ TEST(SpillFaultMatrix, NoPairLostOrDuplicatedUnderInjectedFaults) {
   std::map<std::string, int64_t> got;
   for (KvView p : flat) got[std::string(p.key)]++;
   EXPECT_EQ(got, want);
+}
+
+// --- one append-only segment per store -----------------------------------
+
+/// Files under `dir` on node 0's local tier.
+std::vector<std::string> files_in(storage::StorageSystem& fs,
+                                  const std::string& dir) {
+  std::vector<std::string> names;
+  EXPECT_TRUE(fs.list_dir(storage::Tier::kLocal, 0, dir, names).ok());
+  return names;
+}
+
+/// 300 pairs into 256-byte pages under a 256-byte budget: >= 3 spill.
+void fill_kv(SpillableKvBuffer& buf) {
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(buf.add(tests::numbered("key_", i), "v").ok());
+  }
+  ASSERT_GE(buf.spilled_page_count(), 3u);
+}
+
+TEST(SpillSegment, KvStoreHoldsOneFileUntilPoppedClearedOrDestroyed) {
+  MiniCluster cl;
+  const std::vector<std::string> one = {"kv.pages"};
+  {
+    SpillableKvBuffer buf(cl.fs.get(), 0, "seg/pop", 256, 256);
+    fill_kv(buf);
+    EXPECT_EQ(files_in(*cl.fs, "seg/pop"), one);
+    EXPECT_EQ(buf.stats().files_created, 1);
+    EXPECT_GE(buf.stats().pages_spilled, 3);
+    // The file outlives every spilled page but the last; popping that one
+    // removes it.
+    KvBuffer page;
+    bool have = true;
+    size_t pairs = 0;
+    while (true) {
+      ASSERT_TRUE(buf.pop_front_page(page, have).ok());
+      if (!have) break;
+      pairs += page.size();
+      if (buf.spilled_page_count() > 0) {
+        EXPECT_EQ(files_in(*cl.fs, "seg/pop"), one);
+      }
+    }
+    EXPECT_EQ(pairs, 300u);
+    EXPECT_TRUE(files_in(*cl.fs, "seg/pop").empty());
+  }
+  {
+    SpillableKvBuffer buf(cl.fs.get(), 0, "seg/clear", 256, 256);
+    fill_kv(buf);
+    EXPECT_EQ(files_in(*cl.fs, "seg/clear"), one);
+    ASSERT_TRUE(buf.clear().ok());
+    EXPECT_TRUE(files_in(*cl.fs, "seg/clear").empty());
+  }
+  {
+    SpillableKvBuffer buf(cl.fs.get(), 0, "seg/dtor", 256, 256);
+    fill_kv(buf);
+    EXPECT_EQ(files_in(*cl.fs, "seg/dtor"), one);
+  }
+  EXPECT_TRUE(files_in(*cl.fs, "seg/dtor").empty());
+  {
+    // A move hands the segment over: the moved-from store neither removes
+    // nor shares it.
+    SpillableKvBuffer from(cl.fs.get(), 0, "seg/move", 256, 256);
+    fill_kv(from);
+    SpillableKvBuffer to(std::move(from));
+    ASSERT_TRUE(from.clear().ok());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(files_in(*cl.fs, "seg/move"), one);
+    EXPECT_EQ(collect_counts(to).size(), 300u);
+  }
+  EXPECT_TRUE(files_in(*cl.fs, "seg/move").empty());
+}
+
+TEST(SpillSegment, KmvStoreHoldsOneFileUntilClearedOrDestroyed) {
+  MiniCluster cl;
+  auto fill = [](SpillableKmvBuffer& kmv) {
+    for (int r = 0; r < 2; ++r) {
+      KmvBuffer run;
+      for (int k = 0; k < 60; ++k) {
+        run.begin_entry(tests::numbered("key_", 100 + k));
+        run.append_value(tests::numbered("v", r));
+      }
+      ASSERT_TRUE(kmv.add_run(std::move(run)).ok());
+    }
+    ASSERT_GE(kmv.stats().pages_spilled, 3);
+  };
+  const std::vector<std::string> one = {"kmv.pages"};
+  {
+    SpillableKmvBuffer kmv(cfg_of(cl.fs.get(), "seg/kmv_clear", 256, 256));
+    fill(kmv);
+    EXPECT_EQ(files_in(*cl.fs, "seg/kmv_clear"), one);
+    EXPECT_EQ(kmv.stats().files_created, 1);
+    // Every entry streams back from its extent, both runs merged.
+    size_t entries = 0;
+    ASSERT_TRUE(kmv.for_each_entry(0, [&](std::string_view,
+                                          std::span<const std::string_view> vs) {
+                     EXPECT_EQ(vs.size(), 2u);
+                     entries++;
+                     return Status::Ok();
+                   })
+                    .ok());
+    EXPECT_EQ(entries, 60u);
+    ASSERT_TRUE(kmv.clear().ok());
+    EXPECT_TRUE(files_in(*cl.fs, "seg/kmv_clear").empty());
+  }
+  {
+    SpillableKmvBuffer kmv(cfg_of(cl.fs.get(), "seg/kmv_dtor", 256, 256));
+    fill(kmv);
+    EXPECT_EQ(files_in(*cl.fs, "seg/kmv_dtor"), one);
+  }
+  EXPECT_TRUE(files_in(*cl.fs, "seg/kmv_dtor").empty());
+}
+
+TEST(SpillSegment, TornAppendIsRetriedPastItsDeadTail) {
+  MiniCluster cl;
+  SpillableKvBuffer buf(cl.fs.get(), 0, "seg/torn", 256, 256);
+  std::map<std::string, int64_t> want;
+  int i = 0;
+  auto add = [&] {
+    const std::string k = tests::numbered("key_", i++);
+    ASSERT_TRUE(buf.add(k, "v").ok());
+    want[k]++;
+  };
+  // The first page starts the file; the tear must hit an append after it.
+  while (buf.stats().pages_spilled == 0) add();
+  storage::FaultInjectorConfig fi;
+  fi.local.p_torn_write = 1.0;
+  fi.max_faults = 1;  // exactly one torn append; its retry goes through
+  fi.path_filter = "kv.pages";
+  cl.fs->set_fault_injector(fi);
+  while (i < 300) add();
+  EXPECT_EQ(cl.fs->fault_stats().torn_writes, 1);
+  EXPECT_EQ(buf.stats().write_retries, 1);
+  EXPECT_EQ(buf.stats().write_failures, 0);
+  EXPECT_EQ(buf.stats().files_created, 1);
+  // The torn prefix stays in the file as dead bytes between two pages.
+  EXPECT_GT(cl.fs->file_size(storage::Tier::kLocal, 0, "seg/torn/kv.pages"),
+            static_cast<int64_t>(buf.stats().bytes_spilled));
+  // No pair lost, none duplicated: streamed, then drained.
+  EXPECT_EQ(collect_counts(buf), want);
+  KvBuffer flat;
+  ASSERT_TRUE(buf.drain_to(flat).ok());
+  std::map<std::string, int64_t> got;
+  for (KvView p : flat) got[std::string(p.key)]++;
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(flat.size(), 300u);
 }
 
 // --- KMV page codec -------------------------------------------------------

@@ -6,10 +6,11 @@
 // O(budget), not O(dataset), while the job output remains byte-identical to
 // the in-core pipeline's. This bench runs wordcount on FtJob with fault
 // tolerance and checkpoints off (FtMode::kNone; both runs use the 2-pass
-// convert, which budget mode always uses) over datasets of 1/2/4/8x the
-// per-rank memory budget on the functional simulator, validates output
-// parity at every ratio, bounds the measured residency high-water mark at
-// 1.5x budget, and emits BENCH_outofcore.json for the CI artifact.
+// convert) over datasets of 1/2/4/8x the per-rank memory budget on the
+// functional simulator, validates output parity at every ratio, bounds the
+// measured residency high-water mark at 1.5x budget, breaks the spill
+// writes down by kind of store (map output, received partitions, KMV
+// runs), and emits BENCH_outofcore.json for the CI artifact.
 #include <string>
 
 #include "apps/wordcount.hpp"
@@ -61,6 +62,8 @@ struct RunResult {
   size_t peak_resident = 0;  // max over ranks of the residency high-water
   int spill_files = 0;       // spill segment files created, summed over ranks
   int spill_pages = 0;       // pages spilled, summed over ranks
+  // Spill bytes written by kind of store, summed over ranks.
+  size_t spill_map = 0, spill_part = 0, spill_kmv = 0;
 };
 
 RunResult run_job(storage::StorageSystem& fs, const std::string& in_dir,
@@ -89,8 +92,14 @@ RunResult run_job(storage::StorageSystem& fs, const std::string& in_dir,
     std::lock_guard<std::mutex> lock(mu);
     res.ok = res.ok && ok;
     res.peak_resident = std::max(res.peak_resident, job.residency().peak);
-    res.spill_files += job.residency().files_created;
-    res.spill_pages += job.residency().pages_spilled;
+    const core::FtJob::SpillBreakdown& by_store = job.spill_breakdown();
+    for (const mr::SpillStats* s : {&by_store.map, &by_store.part, &by_store.kmv}) {
+      res.spill_files += s->files_created;
+      res.spill_pages += s->pages_spilled;
+    }
+    res.spill_map += by_store.map.bytes_spilled;
+    res.spill_part += by_store.part.bytes_spilled;
+    res.spill_kmv += by_store.kmv.bytes_spilled;
   });
   res.ok = res.ok && r.finished_count() == kRanks;
   res.makespan = r.makespan();
@@ -164,6 +173,7 @@ int main() {
           "spillR(KiB)");
   rep.row("%6s %10s %14s %14s", "", "", "(vs)", "(vs)");
   bool all_parity = true, all_bounded = true, done4 = false, done8 = false;
+  bool breakdown_sums = true;
   double peak2 = 0.0, peak8 = 0.0;
   size_t spill_w2 = 0, spill_w4 = 0, spill_w8 = 0;
   for (int ratio : {1, 2, 4, 8}) {
@@ -194,7 +204,15 @@ int main() {
     // pages spilled once the budget binds.
     rep.metric("spill_files_" + tag, ooc.spill_files);
     rep.metric("spill_pages_" + tag, ooc.spill_pages);
+    // Where the spill writes come from, by kind of store.
+    rep.metric("spill_write_bytes_map_" + tag, static_cast<double>(ooc.spill_map));
+    rep.metric("spill_write_bytes_part_" + tag,
+               static_cast<double>(ooc.spill_part));
+    rep.metric("spill_write_bytes_kmv_" + tag, static_cast<double>(ooc.spill_kmv));
     all_parity = all_parity && parity;
+    // Checkpoints are off, so every local byte the job writes is a spill page.
+    breakdown_sums =
+        breakdown_sums && ooc.spill_map + ooc.spill_part + ooc.spill_kmv == sw;
     all_bounded = all_bounded && ooc.peak_resident <= kBudget * 3 / 2;
     if (ratio == 2) {
       peak2 = static_cast<double>(ooc.peak_resident);
@@ -212,6 +230,8 @@ int main() {
             all_parity);
   rep.check("completes the 4x- and 8x-budget datasets", done4 && done8);
   rep.check("peak residency <= 1.5x budget at every ratio", all_bounded);
+  rep.check("spill writes by store (map + part + kmv) sum to the local writes",
+            breakdown_sums);
   rep.check("spill volume grows with the dataset overhang (2x < 4x < 8x)",
             spill_w2 < spill_w4 && spill_w4 < spill_w8);
   // Flatness is anchored at 2x — the first ratio where the budget binds

@@ -403,12 +403,11 @@ mr::SpillConfig FtJob::spill_config(int stage, std::string_view what) const {
 mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
   auto it = st.map_stores.find(p);
   if (it == st.map_stores.end()) {
-    it = st.map_stores
-             .emplace(p, mr::SpillableKvBuffer(
-                             spill_config(stage, "map")
-                                 .share(static_cast<size_t>(p0_))
-                                 .sub("p" + std::to_string(p))))
-             .first;
+    mr::SpillConfig cfg = spill_config(stage, "map")
+                              .share(static_cast<size_t>(p0_))
+                              .sub("p" + std::to_string(p));
+    cfg.tally = &spilled_.map;
+    it = st.map_stores.emplace(p, mr::SpillableKvBuffer(cfg)).first;
   }
   return it->second;
 }
@@ -416,12 +415,11 @@ mr::SpillableKvBuffer& FtJob::map_store(StageState& st, int stage, int p) {
 mr::SpillableKvBuffer& FtJob::partition_store(StageState& st, int stage, int p) {
   auto it = st.partition_stores.find(p);
   if (it == st.partition_stores.end()) {
-    it = st.partition_stores
-             .emplace(p, mr::SpillableKvBuffer(
-                             spill_config(stage, "part")
-                                 .share(std::max<size_t>(1, owned_parts_))
-                                 .sub("p" + std::to_string(p))))
-             .first;
+    mr::SpillConfig cfg = spill_config(stage, "part")
+                              .share(std::max<size_t>(1, owned_parts_))
+                              .sub("p" + std::to_string(p));
+    cfg.tally = &spilled_.part;
+    it = st.partition_stores.emplace(p, mr::SpillableKvBuffer(cfg)).first;
   }
   return it->second;
 }
@@ -727,23 +725,23 @@ Status FtJob::reduce_phase(const StageFns& fns, int stage, StageState& st) {
     if (!rp.kmv) {
       // KV→KMV conversion (the "merge" of Fig. 10): consumes the partition
       // store page by page into a spillable KMV result. Entry order is
-      // global key order whatever the budget (the buckets' k-way merge
-      // restores it), so the reduce-entry cursor is a valid recovery
-      // position.
+      // global key order whatever the budget (the k-way merge of the
+      // sorted runs restores it), so the reduce-entry cursor is a valid
+      // recovery position.
       const double m0 = wc_.now();
-      auto kmv = std::make_unique<mr::SpillableKmvBuffer>(
-          spill_config(stage, "kmv_p" + std::to_string(p)));
+      mr::SpillConfig kmv_cfg = spill_config(stage, "kmv_p" + std::to_string(p));
+      kmv_cfg.tally = &spilled_.kmv;
+      auto kmv = std::make_unique<mr::SpillableKmvBuffer>(kmv_cfg);
       mr::ConvertStats cst;
       mr::SpillableKvBuffer& in = partition_store(st, stage, p);
-      if (auto s = mr::convert_2pass_spill(
-              in, *kmv, spill_config(stage, "cvt_p" + std::to_string(p)), &cst,
-              opts_.convert_segment_bytes, opts_.two_pass_convert);
+      if (auto s = mr::convert_2pass_spill(in, *kmv, kmv_cfg.memory_budget, &cst,
+                                           opts_.convert_segment_bytes,
+                                           opts_.two_pass_convert);
           !s.ok()) {
         return s;
       }
       double convert_io =
           fs_->cost_of(storage::Tier::kLocal, cst.bytes_moved, cst.passes);
-      convert_io += cst.spill_io_seconds;
       convert_io += in.take_io_seconds() + kmv->take_io_seconds();
       wc_.compute(convert_io);
       st.partition_stores.erase(p);  // consumed by the convert

@@ -207,6 +207,16 @@ class FtJob {
   [[nodiscard]] const mr::ResidencyMeter& residency() const noexcept {
     return meter_;
   }
+  /// This rank's spill traffic by kind of store, each the sum of those
+  /// stores' own SpillStats (all zero when memory_budget is 0).
+  struct SpillBreakdown {
+    mr::SpillStats map;   // map-output stores
+    mr::SpillStats part;  // received-partition stores
+    mr::SpillStats kmv;   // convert output (KMV runs)
+  };
+  [[nodiscard]] const SpillBreakdown& spill_breakdown() const noexcept {
+    return spilled_;
+  }
   [[nodiscard]] const FtJobOptions& options() const noexcept { return opts_; }
   // Invariant probes (read-only views for the schedule explorer and the
   // redistribution-invariant tests; see testing/invariants.hpp).
@@ -394,6 +404,7 @@ class FtJob {
   // Mutated through SpillConfig::meter by the buffers spill_config() opens
   // (accounting state, like times_; spill_config itself stays const).
   mutable mr::ResidencyMeter meter_;
+  SpillBreakdown spilled_;  // mutated through SpillConfig::tally
   metrics::TraceRecorder trace_;
   double map_bytes_done_ = 0.0;  // load-balancer observation feed
   double map_vtime_spent_ = 0.0;

@@ -1,5 +1,6 @@
 #include "mr/convert.hpp"
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -144,84 +145,51 @@ KmvBuffer convert_2pass(const KvBuffer& in, ConvertStats* stats,
 }
 
 Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
-                           const SpillConfig& cfg, ConvertStats* stats,
+                           size_t memory_budget, ConvertStats* stats,
                            size_t segment_bytes, bool two_pass) {
   ConvertStats st;
-  const size_t total = in.bytes();
-  size_t nbuckets = 1;
-  if (cfg.enabled() && total > 0) {
-    // Bucket working sets of about budget/4 leave headroom for the chain
-    // map and the emitted KMV run while a bucket converts in-core.
-    const size_t target = std::max<size_t>(1, cfg.memory_budget / 4);
-    nbuckets = std::min<size_t>(64, (total + target - 1) / target);
-  }
-  st.buckets = nbuckets;
-  if (nbuckets <= 1) {
-    KvBuffer flat;
-    if (auto s = in.drain_to(flat); !s.ok()) return s;
-    st.spill_io_seconds += in.take_io_seconds();
+  // Convert one run in-core; its key-sorted result joins the merge set.
+  auto emit = [&](const KvBuffer& kv) -> Status {
     ConvertStats cs;
-    KmvBuffer kmv = two_pass ? convert_2pass(flat, &cs, segment_bytes)
-                             : convert_4pass(flat, &cs);
-    st.bytes_moved = cs.bytes_moved;
-    st.passes = cs.passes;
-    st.segments = cs.segments;
-    st.distinct_keys = cs.distinct_keys;
-    if (auto s = out.add_run(std::move(kmv)); !s.ok()) return s;
-    if (stats) *stats = st;
-    return Status::Ok();
-  }
-  // Bucket pass — consume `in` page by page, routing each pair by a
-  // mixed key hash into its (spillable) bucket. One extra read + write of
-  // the full volume on top of the in-core algorithm's two passes.
-  //
-  // Residency discipline: with all nbuckets live at once, each bucket gets
-  // an equal slice of the budget as both its budget AND its page size, so
-  // the aggregate stays <= max(budget, kMinBucketPage x nbuckets) instead
-  // of nbuckets full-size pages (share() floors at cfg.page_bytes, which
-  // at high fanout multiplies to many times the budget). The emitted runs
-  // are repaged to the same slice so the k-way merge in for_each_entry —
-  // one loaded page per run — is bounded the same way.
-  constexpr size_t kMinBucketPage = 128;
-  const size_t slice =
-      std::max(kMinBucketPage, cfg.memory_budget / nbuckets);
-  std::vector<SpillableKvBuffer> buckets;
-  buckets.reserve(nbuckets);
-  SpillConfig bucket_cfg = cfg;
-  bucket_cfg.memory_budget = slice;
-  bucket_cfg.page_bytes = slice;
-  for (size_t b = 0; b < nbuckets; ++b) {
-    buckets.emplace_back(bucket_cfg.sub("cvt_b" + std::to_string(b)));
-  }
-  out.set_run_page_bytes(slice);
-  KvBuffer page;
-  bool have = false;
-  while (true) {
-    if (auto s = in.pop_front_page(page, have); !s.ok()) return s;
-    if (!have) break;
-    for (size_t i = 0; i < page.size(); ++i) {
-      const KvView p = page.view(i);
-      const size_t b = mix64(fnv1a(p.key)) % nbuckets;
-      if (auto s = buckets[b].add(p.key, p.value); !s.ok()) return s;
-    }
-  }
-  st.spill_io_seconds += in.take_io_seconds();
-  st.passes++;
-  st.bytes_moved += 2 * total;
-  // Convert each bucket in-core; its sorted run joins the k-way merge set.
-  for (size_t b = 0; b < nbuckets; ++b) {
-    KvBuffer flat;
-    if (auto s = buckets[b].drain_to(flat); !s.ok()) return s;
-    st.spill_io_seconds += buckets[b].take_io_seconds();
-    if (flat.empty()) continue;
-    ConvertStats cs;
-    KmvBuffer kmv = convert_2pass(flat, &cs, segment_bytes);
+    KmvBuffer run = two_pass ? convert_2pass(kv, &cs, segment_bytes)
+                             : convert_4pass(kv, &cs);
     st.bytes_moved += cs.bytes_moved;
+    st.passes = cs.passes;
     st.segments += cs.segments;
     st.distinct_keys += cs.distinct_keys;
-    if (auto s = out.add_run(std::move(kmv)); !s.ok()) return s;
+    st.runs++;
+    return out.add_run(std::move(run));
+  };
+  // A run of half the budget leaves the other half for the grouping
+  // structure and the KMV run converting it emits.
+  const size_t run_bytes = std::max<size_t>(1, memory_budget / 2);
+  const size_t total = in.bytes();
+  if (memory_budget == 0 || total <= run_bytes) {
+    KvBuffer flat;
+    if (auto s = in.drain_to(flat); !s.ok()) return s;
+    Status s = emit(flat);
+    if (stats) *stats = st;
+    return s;
   }
-  st.passes += 2;
+  // Run formation: pop `in` page by page into one accumulator, booked on
+  // the input's meter while it fills, and convert it whenever it reaches
+  // run_bytes. The merge holds one page per run, so runs are paged at
+  // budget / nruns to keep it at about one budget.
+  constexpr size_t kMinRunPage = 128;
+  const size_t nruns = (total + run_bytes - 1) / run_bytes;
+  out.set_run_page_bytes(std::max(kMinRunPage, memory_budget / nruns));
+  ResidencyBooking booking(in.meter());
+  KvBuffer acc;
+  KvBuffer page;
+  for (bool have = true; have;) {
+    if (auto s = in.pop_front_page(page, have); !s.ok()) return s;
+    acc.absorb(std::move(page));
+    booking.set(acc.bytes());
+    if (acc.empty() || (have && acc.bytes() < run_bytes)) continue;
+    if (auto s = emit(acc); !s.ok()) return s;
+    acc.clear();
+    booking.set(0);
+  }
   if (stats) *stats = st;
   return Status::Ok();
 }

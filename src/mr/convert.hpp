@@ -36,12 +36,8 @@ struct ConvertStats {
   size_t bytes_moved = 0;
   int passes = 0;
   size_t segments = 0;       // 2-pass only: log segments allocated
-  size_t distinct_keys = 0;
-  size_t buckets = 0;        // spill variant: hash buckets (sorted runs)
-  /// Modeled local-disk seconds the spill variant spent on page I/O for
-  /// the input and bucket scratch buffers (the caller charges it to its
-  /// virtual clock alongside the out-buffer's take_io_seconds()).
-  double spill_io_seconds = 0.0;
+  size_t distinct_keys = 0;  // spill variant: summed over its runs
+  size_t runs = 0;           // spill variant: sorted runs formed
 };
 
 /// Original MR-MPI 4-pass conversion.
@@ -53,21 +49,22 @@ KmvBuffer convert_4pass(const KvBuffer& in, ConvertStats* stats = nullptr);
 KmvBuffer convert_2pass(const KvBuffer& in, ConvertStats* stats = nullptr,
                         size_t segment_bytes = 4096);
 
-/// Spill-aware two-pass conversion. `in` is consumed page by page into
-/// hash buckets sized to roughly a quarter of the budget (a decorrelated
-/// second hash, so per-partition inputs — whose keys already share one
-/// fnv1a residue — still split evenly); each bucket then converts in-core
-/// with convert_2pass and its key-sorted run lands in `out`. Bucket key
-/// sets are disjoint, so out.for_each_entry's k-way merge streams entries
-/// in exactly the global key order convert_2pass + sort_by_key produces on
-/// the undivided data — same entries, same value order. Peak residency is
-/// O(memory_budget), never O(dataset); with `cfg` disabled the whole input
-/// converts as a single in-core run. `two_pass = false` converts that single
-/// run with convert_4pass instead (the MR-MPI comparator of Fig. 16: same
-/// entries, twice the data movement); bucketed inputs always use the
-/// two-pass algorithm.
+/// Spill-aware conversion by run formation (external merge sort). `in`
+/// is consumed page by page into one accumulator, booked on `in`'s
+/// residency meter while it fills; whenever it reaches memory_budget / 2 it
+/// converts in-core and its key-sorted run lands in `out`. Runs follow
+/// arrival order and out.for_each_entry's k-way merge joins a key's values
+/// across runs in run order, so it streams exactly the entries, in the
+/// same key and value order, that one in-core convert of the whole input
+/// produces. Runs are paged at memory_budget / runs, keeping the merge's
+/// one page per run at about one budget. With no budget, or an input that
+/// fits one run, the whole input converts as a single run. `two_pass =
+/// false` converts every run with convert_4pass instead (the MR-MPI
+/// comparator of Fig. 16: same entries, twice the data movement). The
+/// stats model the in-core algorithm's passes over the whole input; page
+/// I/O is what `in` and `out` charge through take_io_seconds().
 Status convert_2pass_spill(SpillableKvBuffer& in, SpillableKmvBuffer& out,
-                           const SpillConfig& cfg,
+                           size_t memory_budget,
                            ConvertStats* stats = nullptr,
                            size_t segment_bytes = 4096, bool two_pass = true);
 

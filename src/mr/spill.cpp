@@ -44,7 +44,7 @@ Status unseal_page(Bytes& wire) {
 /// path) when `cfg` does not spill.
 SpillSegment segment_for(const SpillConfig& cfg, const char* name) {
   if (!cfg.enabled()) return {};
-  return {cfg.fs, cfg.node, cfg.dir + "/" + name, cfg.meter};
+  return {cfg.fs, cfg.node, cfg.dir + "/" + name, cfg.tally};
 }
 
 }  // namespace
@@ -55,7 +55,7 @@ SpillSegment segment_for(const SpillConfig& cfg, const char* name) {
 
 SpillSegment::SpillSegment(SpillSegment&& other) noexcept
     : fs_(other.fs_), node_(other.node_), path_(std::move(other.path_)),
-      meter_(std::exchange(other.meter_, nullptr)), retry_(other.retry_),
+      tally_(std::exchange(other.tally_, nullptr)), retry_(other.retry_),
       end_(std::exchange(other.end_, 0)),
       live_pages_(std::exchange(other.live_pages_, 0)),
       exists_(std::exchange(other.exists_, false)),
@@ -68,7 +68,7 @@ SpillSegment& SpillSegment::operator=(SpillSegment&& other) noexcept {
   fs_ = other.fs_;
   node_ = other.node_;
   path_ = std::move(other.path_);
-  meter_ = std::exchange(other.meter_, nullptr);
+  tally_ = std::exchange(other.tally_, nullptr);
   retry_ = other.retry_;
   end_ = std::exchange(other.end_, 0);
   live_pages_ = std::exchange(other.live_pages_, 0);
@@ -85,7 +85,7 @@ Status SpillSegment::append(Bytes& wire, Extent& at) {
   for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     if (attempt > 1) {
       charge_io(retry_.backoff_before(attempt - 1));
-      stats_.write_retries++;
+      count([](SpillStats& s) { s.write_retries++; });
     }
     const bool fresh = live_pages_ == 0;
     const uint64_t offset = fresh ? 0 : end_;
@@ -100,8 +100,7 @@ Status SpillSegment::append(Bytes& wire, Extent& at) {
     if (size >= 0) {
       if (!exists_) {
         exists_ = true;
-        stats_.files_created++;
-        if (meter_ != nullptr) meter_->files_created++;
+        count([](SpillStats& s) { s.files_created++; });
       }
       end_ = static_cast<uint64_t>(size);
     }
@@ -113,12 +112,13 @@ Status SpillSegment::append(Bytes& wire, Extent& at) {
     charge_io(cost);
     at = {offset, len};
     live_pages_++;
-    stats_.pages_spilled++;
-    stats_.bytes_spilled += len;
-    if (meter_ != nullptr) meter_->pages_spilled++;
+    count([len](SpillStats& s) {
+      s.pages_spilled++;
+      s.bytes_spilled += len;
+    });
     return Status::Ok();
   }
-  stats_.write_failures++;
+  count([](SpillStats& s) { s.write_failures++; });
   if (live_pages_ == 0) (void)clear();  // only dead bytes: drop the file
   wire.resize(len - kPageCrcBytes);
   return last;
@@ -130,7 +130,7 @@ Status SpillSegment::load(Extent at,
   for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
     if (attempt > 1) {
       charge_io(retry_.backoff_before(attempt - 1));
-      stats_.read_retries++;
+      count([](SpillStats& s) { s.read_retries++; });
     }
     Bytes wire;
     double cost = 0.0;
@@ -146,7 +146,7 @@ Status SpillSegment::load(Extent at,
     last = accept(std::move(wire));
     if (last.ok()) {
       charge_io(cost);
-      stats_.pages_loaded++;
+      count([](SpillStats& s) { s.pages_loaded++; });
       return Status::Ok();
     }
   }
@@ -647,20 +647,8 @@ Status SpillableKmvBuffer::for_each_entry(
     return c.resident ? pages_[c.page].mem : c.loaded;
   };
   // Cursor-loaded pages are real residency beyond resident_bytes_ — book
-  // them with the shared meter for the duration of the merge (released on
-  // every exit path).
-  struct MergeBooking {
-    ResidencyMeter* m;
-    size_t booked = 0;
-    ~MergeBooking() {
-      if (m != nullptr) m->rebook(booked, 0);
-    }
-    void set(size_t n) {
-      if (m == nullptr) return;
-      m->rebook(booked, n);
-      booked = n;
-    }
-  } booking{meter_};
+  // them with the shared meter for the duration of the merge.
+  ResidencyBooking booking(meter_);
   auto rebook_cursors = [&] {
     size_t n = 0;
     for (const Cursor& c : curs) {
@@ -719,7 +707,8 @@ Status SpillableKmvBuffer::for_each_entry(
   std::vector<std::string_view> values;
   while (live > 0) {
     // Min key across live cursors; ties merge their value lists in run
-    // order (runs are registered in bucket order, so this is stable).
+    // order, which is the order the runs were added (for the convert's
+    // runs, arrival order), so a key's values keep their arrival order.
     std::string_view min_key;
     bool found = false;
     for (const Cursor& c : curs) {

@@ -75,14 +75,33 @@ struct SpillStats {
 struct ResidencyMeter {
   size_t current = 0;
   size_t peak = 0;
-  /// Spill traffic of the same buffers, summed for per-rank reports.
-  int files_created = 0;
-  int pages_spilled = 0;
   /// One buffer's booking moves from `from` to `to` resident bytes.
   void rebook(size_t from, size_t to) noexcept {
     current = current - (from < current ? from : current) + to;
     if (current > peak) peak = current;
   }
+};
+
+/// Transient bytes held outside any buffer (a merge cursor's loaded page,
+/// the convert's run accumulator), booked on a meter and released on every
+/// exit path. A null meter books nothing.
+class ResidencyBooking {
+ public:
+  explicit ResidencyBooking(ResidencyMeter* meter) noexcept : meter_(meter) {}
+  ~ResidencyBooking() { set(0); }
+  ResidencyBooking(const ResidencyBooking&) = delete;
+  ResidencyBooking& operator=(const ResidencyBooking&) = delete;
+
+  /// The booking now stands at `n` bytes.
+  void set(size_t n) noexcept {
+    if (meter_ == nullptr) return;
+    meter_->rebook(booked_, n);
+    booked_ = n;
+  }
+
+ private:
+  ResidencyMeter* meter_;
+  size_t booked_ = 0;
 };
 
 /// Everything a component needs to open spill-backed buffers: the storage
@@ -99,6 +118,10 @@ struct SpillConfig {
   /// Optional shared residency accounting (one meter per rank, shared by
   /// every buffer the rank opens); null = no accounting.
   ResidencyMeter* meter = nullptr;
+  /// Optional spill-traffic sink: every store opened on this config adds
+  /// its SpillStats here as they accrue (one sink per kind of store gives
+  /// a per-store breakdown); null = none.
+  SpillStats* tally = nullptr;
 
   [[nodiscard]] bool enabled() const noexcept {
     return fs != nullptr && memory_budget > 0;
@@ -128,7 +151,8 @@ struct SpillConfig {
 /// reported, a strict prefix persisted — is retried past its tail, which
 /// stays behind as dead bytes until the file goes. The file goes on
 /// clear(), on destruction, and when release() drops the last live page.
-/// Owns the store's SpillStats and its pending modeled I/O time.
+/// Owns the store's SpillStats (mirrored into an optional tally) and its
+/// pending modeled I/O time.
 class SpillSegment {
  public:
   /// Where one spilled page lives in the file.
@@ -140,8 +164,8 @@ class SpillSegment {
   SpillSegment() = default;
   /// `fs` null: a segment that never spills (an in-memory store).
   SpillSegment(storage::StorageSystem* fs, int node, std::string path,
-               ResidencyMeter* meter = nullptr)
-      : fs_(fs), node_(node), path_(std::move(path)), meter_(meter) {}
+               SpillStats* tally = nullptr)
+      : fs_(fs), node_(node), path_(std::move(path)), tally_(tally) {}
   ~SpillSegment() { (void)clear(); }
 
   SpillSegment(const SpillSegment&) = delete;
@@ -173,15 +197,21 @@ class SpillSegment {
   }
 
  private:
+  /// Apply one update to the store's stats and to the tally, if any.
+  template <class Fn>
+  void count(Fn&& fn) noexcept {
+    fn(stats_);
+    if (tally_ != nullptr) fn(*tally_);
+  }
   void charge_io(double cost) noexcept {
-    stats_.sim_io_seconds += cost;
+    count([cost](SpillStats& s) { s.sim_io_seconds += cost; });
     pending_io_seconds_ += cost;
   }
 
   storage::StorageSystem* fs_ = nullptr;
   int node_ = 0;
   std::string path_;
-  ResidencyMeter* meter_ = nullptr;
+  SpillStats* tally_ = nullptr;
   storage::RetryPolicy retry_{};
   uint64_t end_ = 0;        // file size: the next append's offset
   size_t live_pages_ = 0;   // appended and not yet released
@@ -251,6 +281,9 @@ class SpillableKvBuffer {
   /// False for a purely in-memory buffer (no storage): its pages never
   /// leave memory, whatever the budget.
   [[nodiscard]] bool can_spill() const noexcept { return seg_.enabled(); }
+  /// The meter this buffer books on (null = none); a consumer holding its
+  /// pages outside the buffer books them here too.
+  [[nodiscard]] ResidencyMeter* meter() const noexcept { return meter_; }
 
   /// Visit every pair in insertion order, streaming spilled pages back.
   /// The views passed to `fn` alias a page arena and are only valid for
@@ -350,7 +383,8 @@ class SpillableKvBuffer {
 Status decode_kmv(std::span<const std::byte> wire, KmvBuffer& out);
 
 /// Out-of-core KMV store: sorted *runs* of grouped entries (one run per
-/// convert bucket), paged under the same budget model as SpillableKvBuffer.
+/// convert accumulator fill), paged under the same budget model as
+/// SpillableKvBuffer.
 /// for_each_entry streams entries back in global key order by k-way-merging
 /// the runs, holding one page per run in memory — peak residency is
 /// O(page_bytes x runs), never O(dataset).
@@ -374,7 +408,7 @@ class SpillableKmvBuffer {
   /// Re-page future runs at `n` bytes. The k-way merge in for_each_entry
   /// holds one page per run, so a producer expecting many runs shrinks the
   /// pages to keep runs x page_bytes within its budget (convert_2pass_spill
-  /// sets its per-bucket slice here). Pages already added keep their size.
+  /// sets budget / runs here). Pages already added keep their size.
   void set_run_page_bytes(size_t n) noexcept { page_bytes_ = n ? n : 1; }
 
   /// Total grouped entries across all runs. Keys may repeat *across* runs

@@ -1,8 +1,9 @@
 // Out-of-core KV hot path: the spill layer's failure-path guarantees
 // (write-retention + retry ladder, budget accounting including the open
-// page, drain_to partial-failure semantics), the KMV page codec, and the
+// page, drain_to partial-failure semantics), the KMV page codec, the
 // streamed convert's equivalence against the in-core reference under
-// randomized page boundaries, and end-to-end budget-mode parity of the
+// randomized page boundaries and its sorted-run I/O and residency, and
+// end-to-end budget-mode parity of the
 // non-fault-tolerant job (FtMode::kNone) on a dataset far larger than its
 // budget. The fault-tolerant modes' paged runs are in ftjob_extra_test
 // (OutOfCoreFtJob.*).
@@ -481,13 +482,10 @@ TEST(StreamedConvert, MatchesInCoreReferenceAcrossRandomBoundaries) {
     }
     // Reference: in-core 2-pass convert, globally key-sorted.
     KmvBuffer ref = convert_2pass(flat);
-    // Streamed: bucketed spill convert + k-way merged iteration.
+    // Streamed: sorted runs + k-way merged iteration.
     SpillableKmvBuffer out(cfg_of(cl.fs.get(), "cvt_out", page, budget));
     ConvertStats cs;
-    ASSERT_TRUE(convert_2pass_spill(
-                    spill, out, cfg_of(cl.fs.get(), "cvt_scratch", page, budget),
-                    &cs)
-                    .ok());
+    ASSERT_TRUE(convert_2pass_spill(spill, out, budget, &cs).ok());
     EXPECT_TRUE(spill.empty()) << "convert consumes its input";
     const auto got = materialize(out);
     ASSERT_EQ(got.size(), ref.size()) << "iter=" << iter;
@@ -509,6 +507,109 @@ TEST(StreamedConvert, MatchesInCoreReferenceAcrossRandomBoundaries) {
       for (size_t i = 0; i < tail.size(); ++i) EXPECT_EQ(tail[i], got[i + skip]);
     }
   }
+}
+
+/// `n` filler pairs ("a<k>" and "z<k>", sorting on both sides of the hot
+/// key) with one "m_hot" pair after every third; returns the hot values,
+/// h0, h1, ..., in insertion order. With 256-byte pages every page holds
+/// a hot pair.
+std::vector<std::string> fill_with_hot_key(SpillableKvBuffer& in, int n,
+                                           Rng& rng) {
+  std::vector<std::string> hot;
+  for (int i = 0; i < n; ++i) {
+    const std::string k = tests::numbered(rng.next_below(2) ? "a" : "z",
+                                          rng.next_below(40));
+    EXPECT_TRUE(in.add(k, std::to_string(rng.next_u64())).ok());
+    if (i % 3 == 2) {
+      hot.push_back(tests::numbered("h", hot.size()));
+      EXPECT_TRUE(in.add("m_hot", hot.back()).ok());
+    }
+  }
+  return hot;
+}
+
+TEST(StreamedConvert, HotKeyAcrossEveryRunKeepsArrivalOrder) {
+  MiniCluster cl;
+  Rng rng(tests::test_seed(0x0c4));
+  SpillableKvBuffer in(cfg_of(cl.fs.get(), "hot_in", 256, 512));
+  const std::vector<std::string> hot = fill_with_hot_key(in, 1500, rng);
+  ASSERT_GT(in.spilled_page_count(), 0u);
+  size_t pages = 0;
+  ASSERT_TRUE(in.for_each_page([&](const KvBuffer& page) {
+                  bool has_hot = false;
+                  for (KvView p : page) has_hot = has_hot || p.key == "m_hot";
+                  EXPECT_TRUE(has_hot) << "page " << pages;
+                  pages++;
+                  return Status::Ok();
+                })
+                  .ok());
+  SpillableKmvBuffer out(cfg_of(cl.fs.get(), "hot_out", 256, 2048));
+  ConvertStats cs;
+  ASSERT_TRUE(convert_2pass_spill(in, out, 2048, &cs).ok());
+  ASSERT_GE(cs.runs, 8u);
+  EXPECT_EQ(out.runs(), cs.runs);
+  EXPECT_GT(out.stats().pages_spilled, 0);
+
+  const auto all = materialize(out);
+  size_t at = all.size();
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (all[i].first == "m_hot") at = i;
+  }
+  ASSERT_LT(at, all.size());
+  ASSERT_GT(at, 0u) << "filler keys sort on both sides of the hot key";
+  EXPECT_EQ(all[at].second, hot);
+  // The recovery cursor lands mid-stream, before and exactly on the hot key.
+  for (size_t skip : {at / 2, at}) {
+    const auto tail = materialize(out, skip);
+    ASSERT_EQ(tail.size(), all.size() - skip);
+    EXPECT_EQ(tail[at - skip].first, "m_hot");
+    EXPECT_EQ(tail[at - skip].second, hot) << "skip=" << skip;
+  }
+}
+
+TEST(StreamedConvert, ConvertRewritesNoKvPages) {
+  MiniCluster cl;
+  Rng rng(tests::test_seed(0x0c6));
+  SpillableKvBuffer in(cfg_of(cl.fs.get(), "norw_in", 256, 512));
+  (void)fill_with_hot_key(in, 1500, rng);
+  const size_t kv_bytes = in.bytes();
+  ASSERT_GT(in.spilled_page_count(), 0u);
+  const int in_files = in.stats().files_created;
+  SpillableKmvBuffer out(cfg_of(cl.fs.get(), "norw_out", 256, 2048));
+  const storage::TierStats before = cl.fs->stats(storage::Tier::kLocal);
+  ConvertStats cs;
+  ASSERT_TRUE(convert_2pass_spill(in, out, 2048, &cs).ok());
+  const storage::TierStats after = cl.fs->stats(storage::Tier::kLocal);
+  ASSERT_GT(cs.runs, 1u);
+  // The input pages are read back once and never rewritten: every byte
+  // the convert writes is a KMV run page (its CRC trailer included).
+  EXPECT_EQ(in.stats().files_created, in_files) << "no new KV segment";
+  const size_t written = after.bytes_written - before.bytes_written;
+  EXPECT_LE(written, out.stats().bytes_spilled);
+  EXPECT_EQ(after.write_ops - before.write_ops, out.stats().pages_spilled);
+  // The modeled cost is the in-core algorithm's: two passes over the input.
+  EXPECT_EQ(cs.passes, 2);
+  EXPECT_EQ(cs.bytes_moved, 4 * kv_bytes);
+}
+
+TEST(StreamedConvert, BooksTheFillingRunOnTheInputMeter) {
+  MiniCluster cl;
+  Rng rng(tests::test_seed(0x0c7));
+  ResidencyMeter meter;
+  SpillConfig in_cfg = cfg_of(cl.fs.get(), "meter_in", 256, 512);
+  in_cfg.meter = &meter;
+  SpillableKvBuffer in(in_cfg);
+  (void)fill_with_hot_key(in, 1500, rng);
+  // The input holds at most its 512-byte budget plus a closing page, so a
+  // peak past the 1024-byte run can only be the convert's accumulator.
+  meter.peak = meter.current;
+  ASSERT_LE(meter.peak, 1024u);
+  SpillableKmvBuffer out(cfg_of(cl.fs.get(), "meter_out", 256, 2048));
+  ASSERT_TRUE(convert_2pass_spill(in, out, 2048).ok());
+  EXPECT_GE(meter.peak, 1024u);
+  EXPECT_LE(meter.peak, 1024u + 512u)
+      << "a run of whole input pages plus the input's open page";
+  EXPECT_EQ(meter.current, 0u) << "the booking is released";
 }
 
 // --- end-to-end budget mode ----------------------------------------------
